@@ -12,7 +12,7 @@ ranges are ``start:stop:count`` ("-5:5:200").  Exit codes: 0 success,
 validation error with a JSON error object on stderr.  CSV output exists
 for kernel scans only; everything else is canonical JSON.  A config file
 (--config) supplies defaults for parameters not given on the command
-line, and DIRACSHIFT_WORKERS sets the scan worker count.
+line.
 """
 
 from __future__ import annotations
@@ -45,14 +45,12 @@ __all__ = [
     "parse_vector",
     "run_det_audit",
     "run_green",
-    "run_pipeline",
 ]
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_USAGE = 2
 
-WORKERS_ENV = "DIRACSHIFT_WORKERS"
 DET_AUDIT_BAR = 1e-9
 BS_BAR = 1e-10
 
@@ -295,22 +293,6 @@ def run_green(config: RunConfig):
     return result, EXIT_OK, None
 
 
-def _scan_kernels(rep, z, diffs, workers):
-    if workers <= 1 or len(diffs) < 2 * workers:
-        return green0_many(rep, z, diffs)
-    from concurrent.futures import ThreadPoolExecutor
-
-    out = np.empty((len(diffs), rep.N, rep.N), dtype=complex)
-
-    def fill(idx):
-        out[idx] = green0_many(rep, z, diffs[idx])
-
-    chunks = [c for c in np.array_split(np.arange(len(diffs)), workers) if c.size]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        list(pool.map(fill, chunks))
-    return out
-
-
 def run_scan(config: RunConfig):
     params = config.params
     n = _as_int(params, "n", minimum=1)
@@ -325,10 +307,9 @@ def run_scan(config: RunConfig):
         raise UsageError("--direction must be nonzero")
     if np.any(distances <= 0):
         raise UsageError("--distances must be positive separations")
-    workers = int(params.get("workers", 1))
     diffs = distances[:, None] * (direction / norm)[None, :]
     try:
-        kernels = _scan_kernels(rep, z, diffs, workers)
+        kernels = green0_many(rep, z, diffs)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
 
@@ -539,12 +520,6 @@ def _timed(fn) -> float:
     return time.perf_counter() - t0
 
 
-def run_pipeline(config: RunConfig):
-    """Dispatch the composite pipelines (ssf, abel, witten, threshold, bs)."""
-    handler = _HANDLERS[config.command]
-    return handler(config)
-
-
 _HANDLERS = {
     "clifford": run_clifford,
     "green": run_green,
@@ -681,15 +656,6 @@ def config_from_args(argv=None) -> RunConfig:
         value = ns.get(slot)
         if value is not None and value is not False:
             params[key] = value
-    if command == "scan":
-        workers = os.environ.get(WORKERS_ENV, "1")
-        try:
-            workers = int(workers)
-        except ValueError:
-            raise UsageError(f"{WORKERS_ENV} must be an integer") from None
-        if workers < 1:
-            raise UsageError(f"{WORKERS_ENV} must be at least 1")
-        params["workers"] = workers
 
     return RunConfig(
         command=command,

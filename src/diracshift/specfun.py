@@ -10,12 +10,14 @@ Branch policy: all powers and logarithms are principal, and real inputs are
 normalized to carry a +0.0 imaginary part so that arguments on the negative
 real axis stay on the upper side of the cut.
 
-Accuracy policy: a float64 power series loses roughly e^(|zeta| + Im zeta)
-to cancellation (peak term size over result size), so elements beyond a
-fixed budget are evaluated with mpmath at a precision scaled to the
-cancellation, and strongly complex mid-range arguments are dispatched to
-the asymptotic branch, where the leading e^(i zeta) factor is applied
-directly and nothing cancels.
+Accuracy policy: ``hankel1`` has one production route per order class.
+Half-integer orders use the exact terminating closed form; integer orders
+use scipy's AMOS routine (Amos 1986, ACM TOMS Alg. 644), which keeps
+~1e-15 relative accuracy across the kernel band.  The J + iY power series
+(``hankel1_series``, float64 or mpmath at a chosen precision) and the
+asymptotic expansion (``hankel1_asymptotic``) remain only as reference
+oracles; the series loses roughly e^(|zeta| + Im zeta) to cancellation, so
+``bessel_j`` and ``bessel_y_int`` switch to mpmath beyond a fixed budget.
 """
 
 from __future__ import annotations
@@ -29,7 +31,6 @@ __all__ = [
     "ASYMPTOTIC_MIN_ABS",
     "EULER_MASCHERONI",
     "SERIES_MAX_TERMS",
-    "SWITCHOVER_ABS",
     "bessel_j",
     "bessel_y_int",
     "digamma_int",
@@ -42,26 +43,17 @@ __all__ = [
 
 EULER_MASCHERONI = 0.577215664901532861
 
-# Dispatch radius between the series and asymptotic branches, and the
-# smallest modulus the explicit asymptotic API accepts (partial sums still
-# reach ~1e-12 there, which the overlap tests rely on).
-SWITCHOVER_ABS = 25.0
+# Smallest modulus the asymptotic reference route accepts (partial sums
+# still reach ~1e-12 there, which the overlap tests rely on).
 ASYMPTOTIC_MIN_ABS = 15.0
 
 SERIES_MAX_TERMS = 200
 _SERIES_RTOL = 1e-16
 
-# J + iY assembly cancels like e^(2 Im zeta); send strongly complex
-# arguments of moderate modulus to the asymptotic branch instead.
-_ASYM_IMAG_MIN = 6.0
-_ASYM_ABS_MIN_COMPLEX = 9.0
-_ASYM_MAX_TERMS = 40
 _ASYM_ARG_DELTA = 1e-8
 
-# |zeta| + Im zeta budgets within which float64 series keep ~1e-8 (Hankel
-# assembly) resp. ~1e-10 (J alone); beyond them mpmath takes over.  The
-# Hankel budget together with _ASYM_ABS_MIN_COMPLEX leaves no gap on the
-# imaginary axis, where kernel workloads concentrate.
+# |zeta| + Im zeta budgets within which float64 series keep ~1e-8 (Y)
+# resp. ~1e-10 (J); beyond them mpmath takes over.
 _H_F64_BUDGET = 18.5
 _J_F64_BUDGET = 12.0
 
@@ -292,23 +284,6 @@ def _asym_sum_fixed(v, z, p):
     return total, np.abs(t)
 
 
-def _asym_sum_adaptive(v, z):
-    total = np.ones_like(z)
-    t = np.ones_like(z)
-    inv = 1.0 / (2j * z)
-    active = np.ones(z.shape, dtype=bool)
-    for m in range(1, _ASYM_MAX_TERMS + 1):
-        tn = t * (((m - 0.5) ** 2 - v * v) / m) * inv
-        # freeze elements whose terms start growing (divergent tail)
-        keep = active & (np.abs(tn) <= np.abs(t))
-        total = np.where(keep, total + tn, total)
-        t = np.where(keep, tn, t)
-        active = keep & (np.abs(t) > _SERIES_RTOL * np.abs(total))
-        if not active.any():
-            break
-    return total
-
-
 def hankel1_asymptotic(nu, zeta, p):
     """Large-argument expansion of H^(1) truncated at p terms.
 
@@ -336,46 +311,23 @@ def hankel1_asymptotic(nu, zeta, p):
     return value, scale
 
 
-def _hankel1_int_mp(n, z, max_terms):
-    dps = _cancellation_dps(z)
-    with mp.workdps(dps):
-        jn, y = _jy_int_mp(n, z, max_terms, dps=dps)
-        return complex(jn + mp.mpc(0, 1) * y)
-
-
-def _hankel1_int(n, z, max_terms):
-    flat = np.atleast_1d(z)
-    mod = np.abs(flat)
-    im = flat.imag
-    asym = (mod >= SWITCHOVER_ABS) | ((im >= _ASYM_IMAG_MIN) & (mod >= _ASYM_ABS_MIN_COMPLEX))
-    f64 = ~asym & (mod + np.maximum(im, 0.0) <= _H_F64_BUDGET)
-    arb = ~asym & ~f64
-    out = np.empty_like(flat)
-    if asym.any():
-        zs = flat[asym]
-        out[asym] = _asym_prefactor(float(n), zs) * _asym_sum_adaptive(float(n), zs)
-    if f64.any():
-        zs = flat[f64]
-        out[f64] = _j_series_f64(float(n), zs, max_terms) + 1j * _y_int_f64(n, zs, max_terms)
-    for idx in np.flatnonzero(arb):
-        out[idx] = _hankel1_int_mp(n, complex(flat[idx]), max_terms)
-    return out.reshape(z.shape)
-
-
 def hankel1(nu, zeta):
     """Hankel H^(1) of nonnegative integer or half-integer order.
 
     Half-integer orders use the exact terminating closed form everywhere.
-    Integer orders use the J + iY series for moderate arguments and the
-    asymptotic expansion for |zeta| >= SWITCHOVER_ABS or for strongly
-    complex arguments where the series assembly would cancel.
+    Integer orders use scipy's AMOS routine after the domain checks and
+    the +0.0 branch normalization.  The series and asymptotic routes are
+    reference oracles only (``hankel1_series``, ``hankel1_asymptotic``).
     """
     v = _order(nu)
     z, scalar = _zeta_array(zeta)
     if v != int(v):
         out = _halfint_closed(v, z)
     else:
-        out = _hankel1_int(int(v), z, SERIES_MAX_TERMS)
+        # imported on first use: scipy.special adds ~0.1 s to package import
+        from scipy.special import hankel1 as amos_hankel1
+
+        out = amos_hankel1(v, z)
     return complex(out[()]) if scalar else out
 
 
@@ -395,7 +347,7 @@ def hankel1_any(nu, zeta):
 
 
 def hankel1_series(nu, zeta, *, dps=None, max_terms=SERIES_MAX_TERMS):
-    """Reference J + iY series route, bypassing all dispatch.
+    """Reference J + iY series route, independent of the production ``hankel1``.
 
     Integer orders assemble J_n + iY_n; half-integer orders use the
     reflection Y_v = -(-1)^j J_{-v} with v = j + 1/2.  Float64 by default;

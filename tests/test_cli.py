@@ -3,10 +3,14 @@ and the documented example invocations."""
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import diracshift
 from diracshift import __version__
 from diracshift.cli import (
     UsageError,
@@ -327,16 +331,17 @@ def test_csv_format_restricted_to_scans(capsys):
     assert "kernel scans" in json.loads(capsys.readouterr().err)["error"]
 
 
-def test_worker_count_does_not_change_results(tmp_path, monkeypatch):
-    args = ["scan", "--n", "2", "--z", "0+2i", "--direction", "1,0",
-            "--distances", "0.5:4:9"]
-    code, serial = run_to_file(tmp_path, args, "serial.json")
-    assert code == 0
-    monkeypatch.setenv("DIRACSHIFT_WORKERS", "3")
-    code, threaded = run_to_file(tmp_path, args, "threaded.json")
-    assert code == 0
-    assert threaded["config"]["params"]["workers"] == 3
-    assert threaded["result"] == serial["result"]
+def test_module_entry_point_runs_without_runpy_warning():
+    src = os.path.dirname(os.path.dirname(diracshift.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-m", "diracshift", "clifford", "--n", "2"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "RuntimeWarning" not in proc.stderr
+    assert json.loads(proc.stdout)["result"]["N"] == 2
 
 
 def test_config_file_supplies_missing_parameters(tmp_path):

@@ -187,6 +187,20 @@ def test_batch_matches_single(reps):
             assert np.linalg.norm(batch[i] - ref) < 1e-13 * np.linalg.norm(ref)
 
 
+def test_batch_composition_does_not_change_kernels(reps):
+    # each kernel depends only on its own separation: evaluating a scan in
+    # chunks must reproduce the whole batch bit for bit
+    rng = np.random.default_rng(5)
+    distances = np.linspace(0.1, 10.0, 500)
+    for n in (2, 3, 4):
+        rep = reps[n]
+        diffs = distances[:, None] * random_unit(rng, n)[None, :]
+        z = 3 + 1j
+        whole = green.green0_many(rep, z, diffs)
+        parts = [green.green0_many(rep, z, c) for c in np.array_split(diffs, 7)]
+        assert np.array_equal(whole, np.concatenate(parts))
+
+
 def test_batch_zero_energy(reps):
     rng = np.random.default_rng(3)
     rep = reps[3]

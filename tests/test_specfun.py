@@ -1,4 +1,4 @@
-"""Special-function routes: series, closed forms, asymptotics, dispatch."""
+"""Special-function routes: series, closed forms, asymptotics, production hankel1."""
 
 import cmath
 import math
@@ -130,12 +130,10 @@ def test_halfint_closed_vs_series_route(nu):
 
 @pytest.mark.parametrize("n", [0, 1, 2, 3, 4])
 def test_hankel_integer_matches_scipy(n):
-    # comfortably inside the float64 series budget, or asymptotic regime
     for z in (0.1, 1.0, 7.0, 2 + 1j, 5 + 4j, 12.0, 14.0, 30.0, 45.0, 5j):
         got = specfun.hankel1(n, z)
         want = sps.hankel1(n, complex(z))
         assert rel(got, want) < 1e-10, (n, z)
-    # near the budget edge the series keeps ~1e-8
     for z in (17.0, 18.0, 18.4, 19.5, 24.0):
         got = specfun.hankel1(n, z)
         want = sps.hankel1(n, complex(z))
@@ -143,11 +141,22 @@ def test_hankel_integer_matches_scipy(n):
 
 
 def test_hankel_strongly_complex_dispatch_corner():
-    # J + iY would cancel here; dispatch must keep ~1e-8
+    # a float64 J + iY assembly would cancel here
     for n, z in [(0, 10j), (1, 17j), (2, 9.5j), (0, 10 + 8j), (3, 14j)]:
         got = specfun.hankel1(n, z)
         want = sps.hankel1(n, complex(z))
         assert rel(got, want) < 3e-8, (n, z)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2])
+def test_hankel_integer_matches_high_precision_series(n):
+    # the free-kernel band: zeta = z s for the scan energies, s in [0.1, 10];
+    # the mpmath series shares no code with the production route
+    s = np.linspace(0.1, 10.0, 60)
+    for z in (3 + 1j, 1j, 2.0, 0.5 + 5j, -2.0):
+        got = specfun.hankel1(n, z * s)
+        want = specfun.hankel1_series(n, z * s, dps=60)
+        assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-13, (n, z)
 
 
 def test_hankel_negative_real_axis_branch():
