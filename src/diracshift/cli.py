@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__
-from .clifford import build_clifford
+from .clifford import build_clifford, check_relations
 from .discretize import build_grid
 from .green import REGIME_SPLIT, green0, green0_limit0, green0_many
 from .potential import load_potential, polar_maps
@@ -243,20 +243,13 @@ def _load_potential_file(path):
 
 def run_clifford(config: RunConfig):
     rep = build_clifford(_as_int(config.params, "n", minimum=1))
-    eye = np.eye(rep.N)
-    anti = 0.0
-    herm = 0.0
-    for i, a in enumerate(rep.alphas):
-        herm = max(herm, float(np.abs(a - a.conj().T).max()))
-        for j, b in enumerate(rep.alphas):
-            want = 2.0 * eye if i == j else 0.0
-            anti = max(anti, float(np.abs(a @ b + b @ a - want).max()))
+    audit = check_relations(rep)
     result = {
         "n": rep.n,
         "N": rep.N,
         "generator_count": len(rep.alphas),
-        "max_anticommutator_defect": anti,
-        "max_hermiticity_defect": herm,
+        "max_anticommutator_defect": audit["anticommutation_residual"],
+        "max_hermiticity_defect": audit["hermiticity_residual"],
         "generators": [_matrix_json(a) for a in rep.alphas],
     }
     return result, EXIT_OK, None

@@ -3,8 +3,10 @@
 det_k(I+A) multiplies the eigenvalue factors (1+lam)exp(sum_{m<k}(-1)^m
 lam^m/m); the exponential removes the first k-1 traces, which is what keeps
 the determinant finite for operators whose singular values are only
-k-summable.  The price is that det_k is no longer multiplicative: for two
-factors written as I-A and I-B,
+k-summable.  logdet_k sums the logs of the factors, so large operators
+neither overflow nor underflow, and regdet exponentiates it.  The price is
+that det_k is no longer multiplicative: for two factors written as I-A
+and I-B,
 
     det_k((I-A)(I-B)) = det_k(I-A) det_k(I-B) exp(tr X_k(A,B)),
 
@@ -24,6 +26,7 @@ import numpy as np
 
 __all__ = [
     "WordExpression",
+    "logdet_k",
     "product_residual",
     "regdet",
     "trace_xk",
@@ -49,19 +52,34 @@ def _check_order(k, upper=None) -> int:
     return k
 
 
+def logdet_k(k, A):
+    """log det_k(I+A) for a square matrix, or for each matrix of a stack
+    along the last two axes, through the eigenvalues of A.
+
+    Sums log(1+lam) and the trace exponent sum_{j<k} (-1)^j lam^j / j, so
+    the modulus never overflows or underflows.  The imaginary part is not
+    reduced to a principal branch.  An eigenvalue of exactly -1 gives a
+    real part of -inf.
+    """
+    k = _check_order(k)
+    A = np.atleast_2d(np.asarray(A, dtype=complex))
+    if A.shape[-1] != A.shape[-2]:
+        raise ValueError(f"A must be square, got shape {A.shape}")
+    lam = np.linalg.eigvals(A)
+    expo = np.zeros_like(lam)
+    for j in range(1, k):
+        expo = expo + (-1) ** j * lam**j / j
+    with np.errstate(divide="ignore"):
+        return (np.log1p(lam) + expo).sum(axis=-1)
+
+
 def regdet(k, A) -> complex:
     """det_k(I+A) through the eigenvalues of A.
 
     k = 1 is the plain determinant; higher k strips the first k-1 traces
     from the exponent, eigenvalue by eigenvalue.
     """
-    k = _check_order(k)
-    A = _square("A", A)
-    lam = np.linalg.eigvals(A)
-    expo = np.zeros_like(lam)
-    for m in range(1, k):
-        expo = expo + (-1) ** m * lam**m / m
-    return complex(np.prod((1.0 + lam) * np.exp(expo)))
+    return complex(np.exp(logdet_k(k, _square("A", A))))
 
 
 # ---------------------------------------------------------------------------

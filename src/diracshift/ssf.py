@@ -6,7 +6,9 @@ Three routes are provided: direct eigenvalue counting, the boundary value
 of the perturbation determinant ln det(I + V (S0 - z)^{-1}) as z comes
 down to the real axis, and the same boundary value with the first few
 trace terms removed and restored analytically (useful when only a
-higher-order regularized determinant is available).  The module also
+higher-order regularized determinant is available).  Both determinant
+routes evaluate only at the requested grid points: the 2 pi k branch of
+each principal log comes from the spectra of S0 and S.  The module also
 ships the half-line transform that averages xi over square roots of the
 spectral parameter, its zero-energy limit, and a resolvent-difference
 index for rectangular matrices.
@@ -15,12 +17,14 @@ index for rectangular matrices.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
 
-from .regdet import regdet
+# regdet stays bound here for callers that take it from this module
+from .regdet import logdet_k, regdet  # noqa: F401
 
 __all__ = [
     "MatrixPair",
@@ -156,24 +160,25 @@ def perturbation_logdet(m: int, z, pair: MatrixPair) -> complex:
     """
     m = _order(m)
     z = _offreal(z)
-    det = regdet(m + 1, _bmatrix(pair, z))
-    if det == 0:
+    val = logdet_k(m + 1, _bmatrix(pair, z))
+    if val.real == -np.inf:
         raise ValueError("perturbation determinant vanished; z too close to spectrum")
-    return complex(np.log(det))
+    return complex(val.real, math.remainder(val.imag, 2 * math.pi))
 
 
-def _g_of_b(m: int, b: np.ndarray) -> complex:
-    total = 0.0 + 0.0j
-    power = np.eye(b.shape[0], dtype=complex)
+def _g_of_b(m: int, b: np.ndarray):
+    # broadcasts over a stack of matrices along the last two axes
+    total = 0j
+    power = np.eye(b.shape[-1])
     for j in range(1, m + 1):
         power = power @ b
-        total += (-1) ** j * np.trace(power) / j
+        total = total + (-1) ** j * np.trace(power, axis1=-2, axis2=-1) / j
     return total
 
 
 def g_correction(m: int, z, pair: MatrixPair) -> complex:
     """The truncated trace series sum_{j=1}^{m} (-1)^j tr(B(z)^j) / j."""
-    return _g_of_b(_order(m), _bmatrix(pair, _offreal(z)))
+    return complex(_g_of_b(_order(m), _bmatrix(pair, _offreal(z))))
 
 
 @dataclass(frozen=True)
@@ -239,9 +244,9 @@ def g_deriv_paper(m: int, z, pair: MatrixPair) -> complex:
 class SSFTable:
     """Shift-function values on a grid, with provenance for each point.
 
-    ``branch`` is the unwrapped phase curve at the finest epsilon (before
-    extrapolation); ``flags`` marks grid points too close to an
-    eigenvalue for the reported value to be trusted.
+    ``branch`` is the phase at the finest epsilon on the grid, branch taken
+    from the spectra (before extrapolation); ``flags`` marks grid points
+    too close to an eigenvalue for the reported value to be trusted.
     """
 
     lambdas: np.ndarray
@@ -263,53 +268,22 @@ def _extrapolate_to_zero(eps: np.ndarray, values: np.ndarray) -> np.ndarray:
     return tab[k - 1]
 
 
-def _densify(knots: np.ndarray, spacing: float, cap: int = 40000) -> tuple:
-    """Refine a knot sequence so consecutive points sit within ``spacing``.
-
-    Keeps every knot and returns (path, knot_indices).  The cap bounds the
-    total point count; if it binds, the spacing grows accordingly.
-    """
-    total = knots[-1] - knots[0]
-    if total > 0 and total / spacing > cap:
-        spacing = total / cap
-    path = [knots[0]]
-    idx = [0]
-    for a, b in zip(knots[:-1], knots[1:]):
-        npts = max(2, int(np.ceil((b - a) / spacing)) + 1)
-        seg = np.linspace(a, b, npts)
-        path.extend(seg[1:])
-        idx.append(len(path) - 1)
-    return np.asarray(path), np.asarray(idx, dtype=int)
-
-
 def _phase_curve(
-    pair: MatrixPair, knots: np.ndarray, eps: float, method: str, m: int
+    pair: MatrixPair, lambdas: np.ndarray, eps: float, m: int, eig0, eig1
 ) -> np.ndarray:
-    # Each eigenvalue branch moves the phase at most ~(step / eps), so this
-    # spacing keeps total per-step change under pi even if all of them
-    # cluster at one spot.
-    spacing = eps / max(2.0, pair.dim / 2.0)
-    path, knot_idx = _densify(knots, spacing=spacing)
-    eye = np.eye(pair.dim)
-    zs = path + 1j * eps
-    res = np.linalg.inv(pair.s0[None, :, :] - zs[:, None, None] * eye[None, :, :])
+    zs = lambdas + 1j * eps
+    res = np.linalg.inv(pair.s0 - zs[:, None, None] * np.eye(pair.dim))
     b = np.matmul(pair.v, res)
-    if method == "krein":
-        vals = np.angle(np.linalg.det(eye[None, :, :] + b))
-    else:
-        lam = np.linalg.eigvals(b)
-        expo = np.zeros(lam.shape, dtype=complex)
-        for j in range(1, m + 1):
-            expo += (-1) ** j * lam**j / j
-        # log of the order-(m+1) determinant accumulated factor by factor:
-        # the modulus can overflow double precision where the path sweeps
-        # close under an eigenvalue, the log never does.  Per-point branch
-        # offsets are multiples of 2 pi, which the unwrap below absorbs.
-        log_f = (np.log1p(lam) + expo).sum(axis=1)
-        vals = (log_f - expo.sum(axis=1)).imag
-    vals = np.unwrap(vals)
-    vals -= vals[0]
-    return vals[knot_idx][1:]
+    principal = (logdet_k(m + 1, b) - _g_of_b(m, b)).imag
+    # For Hermitian S0 and S = S0 + V, det(I + V (S0 - z)^{-1}) equals
+    # prod(s_k - z) / prod(e_k - z), so the continuous branch of its phase
+    # is sum arg(s_k - z) - sum arg(e_k - z), which vanishes left of both
+    # spectra (Krein; Yafaev, Mathematical Scattering Theory).
+    exact = (
+        np.angle(eig1[None, :] - zs[:, None]).sum(axis=1)
+        - np.angle(eig0[None, :] - zs[:, None]).sum(axis=1)
+    )
+    return principal + 2 * np.pi * np.round((exact - principal) / (2 * np.pi))
 
 
 def ssf_boundary(
@@ -324,12 +298,12 @@ def ssf_boundary(
     ``method`` selects the route: "counting" uses the eigenvalue oracle,
     "krein" takes the boundary phase of det(I + V (S0 - lam - i eps)^{-1}),
     and "eq_main" takes the phase of the order-(m+1) regularized
-    determinant minus the truncated trace series.  Boundary phases are
-    swept continuously from an anchor left of both spectra (where xi = 0),
-    unwrapped along a refined path, then extrapolated to eps = 0 across
-    the schedule.  Grid points within 0.05 of an eigenvalue are flagged
-    and their xi withheld as NaN; the counting route only flags exact
-    collisions.
+    determinant minus the truncated trace series.  Each phase is evaluated
+    only at lam + i eps for the requested lam; its principal value is moved
+    to the branch given by the eigenvalues of S0 and S, then extrapolated
+    to eps = 0 across the schedule.  Grid points within 0.05 of an
+    eigenvalue are flagged and their xi withheld as NaN; the counting route
+    only flags exact collisions.
     """
     lambdas = np.atleast_1d(np.asarray(lambdas, dtype=float))
     if lambdas.ndim != 1 or lambdas.size == 0:
@@ -340,9 +314,9 @@ def ssf_boundary(
         raise ValueError(f"unknown method {method!r}")
     m = _order(m)
 
-    eig_all = np.concatenate(
-        [np.linalg.eigvalsh(pair.s0), np.linalg.eigvalsh(pair.s)]
-    )
+    eig0 = np.linalg.eigvalsh(pair.s0)
+    eig1 = np.linalg.eigvalsh(pair.s)
+    eig_all = np.concatenate([eig0, eig1])
     dist = np.abs(lambdas[:, None] - eig_all[None, :]).min(axis=1)
 
     if method == "counting":
@@ -361,12 +335,10 @@ def ssf_boundary(
     ):
         raise ValueError("eps schedule must be positive and strictly decreasing")
 
-    spread = max(eig_all.max() - eig_all.min(), 1.0)
-    anchor = min(lambdas[0], eig_all.min()) - 0.5 * spread
-    knots = np.concatenate([[anchor], lambdas])
-
+    # krein is det_1 with no trace series to restore
+    order = 0 if method == "krein" else m
     curves = np.stack(
-        [_phase_curve(pair, knots, e, method, m) for e in eps_schedule]
+        [_phase_curve(pair, lambdas, e, order, eig0, eig1) for e in eps_schedule]
     )
     xi = _extrapolate_to_zero(np.asarray(eps_schedule), curves) / np.pi
     flags = dist < FLAG_DISTANCE

@@ -1,4 +1,5 @@
 import itertools
+import warnings
 from fractions import Fraction
 from math import comb
 
@@ -60,9 +61,30 @@ def test_regdet_rejections():
 def test_zero_iff_minus_one_eigenvalue():
     withm1 = np.diag([-1.0, 0.3, 0.2])
     clear = np.diag([-0.9, 0.3, 0.2])
-    for k in (1, 2, 3, 4):
-        assert rd.regdet(k, withm1) == 0
-        assert abs(rd.regdet(k, clear)) > 1e-3
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for k in (1, 2, 3, 4):
+            assert rd.regdet(k, withm1) == 0
+            assert rd.logdet_k(k, withm1).real == -np.inf
+            assert abs(rd.regdet(k, clear)) > 1e-3
+
+
+def test_logdet_k_past_overflow():
+    # det(5 I) of size 600 is 5**600, past double precision; its log is not
+    got = rd.logdet_k(1, 4.0 * np.eye(600))
+    want = 600 * np.log(5.0)
+    assert got.imag == 0
+    assert abs(got.real - want) <= 1e-14 * want
+
+
+def test_logdet_k_stack_matches_each_matrix():
+    rng = np.random.default_rng(9)
+    stack = np.stack([ginibre(rng, 5) for _ in range(4)])
+    for k in (1, 2, 3):
+        got = rd.logdet_k(k, stack)
+        assert got.shape == (4,)
+        for a, g in zip(stack, got):
+            assert abs(np.exp(g) - rd.regdet(k, a)) <= 1e-13 * abs(rd.regdet(k, a))
 
 
 def test_cyclicity_rectangular_factors():

@@ -1,4 +1,5 @@
 import json
+import time
 import warnings
 
 import numpy as np
@@ -117,6 +118,35 @@ def test_logdet_conjugate_symmetry():
             fa = perturbation_logdet(m, z, pair)
             fb = perturbation_logdet(m, np.conj(z), pair)
             assert abs(fb - np.conj(fa)) < 1e-12
+
+
+def test_logdet_past_underflow():
+    # det_2 is about exp(-836), below double precision; b_k = v_k / (s_k - z)
+    # sits near -1, so log1p(b_k) - b_k gives the log in closed form
+    s = np.linspace(0.5, 2.0, 100)
+    z = 1e-4j
+    pair = MatrixPair(np.diag(s), np.diag(-s))
+    got = perturbation_logdet(1, z, pair)
+    b = -s / (s - z)
+    want = np.sum(np.log1p(b) - b)
+    assert want.real < -800
+    assert abs(got.real - want.real) <= 1e-13 * abs(want.real)
+    assert -np.pi <= got.imag <= np.pi
+    turns = (got.imag - want.imag) / (2 * np.pi)
+    assert abs(turns - round(turns)) < 1e-9
+
+
+def test_logdet_minus_one_eigenvalue_raises_without_warning(monkeypatch):
+    # a Hermitian pair never puts -1 in the spectrum of B(z) off the real
+    # axis, so B is substituted to reach the guard
+    from diracshift import ssf
+
+    monkeypatch.setattr(ssf, "_bmatrix", lambda pair, z: np.diag([-1.0, 0.3]))
+    pair = MatrixPair(np.zeros((2, 2)), np.zeros((2, 2)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="vanished"):
+            perturbation_logdet(1, 1j, pair)
 
 
 def test_logdet_rejections():
@@ -259,6 +289,21 @@ def test_boundary_routes_match_oracle():
         assert np.array_equal(np.round(tab.xi), oracle)
 
 
+def test_boundary_routes_match_oracle_40x40():
+    rng = np.random.default_rng(73)
+    pair = make_pair(rng, 40, 0.6)
+    eig = np.concatenate([np.linalg.eigvalsh(pair.s0), np.linalg.eigvalsh(pair.s)])
+    grid = np.linspace(eig.min() - 0.5, eig.max() + 0.5, 30)
+    start = time.perf_counter()
+    for kwargs in ({"method": "krein"}, {"method": "eq_main", "m": 2}):
+        tab = ssf_boundary(pair, grid, **kwargs)
+        safe = ~tab.flags
+        assert safe.sum() >= 5
+        oracle = np.array([ssf_count_oracle(pair, lam) for lam in grid[safe]])
+        assert np.array_equal(np.round(tab.xi[safe]), oracle)
+    assert time.perf_counter() - start < 10.0
+
+
 def test_boundary_table_ends_vanish():
     rng = np.random.default_rng(43)
     pair = make_pair(rng, 6)
@@ -290,7 +335,11 @@ def test_boundary_counting_method():
     assert np.isnan(collided.xi[1])
 
 
-def test_boundary_subgrid_consistency():
+@pytest.mark.parametrize("kwargs", [{"method": "krein"}, {"method": "eq_main", "m": 2}],
+                         ids=["krein", "eq_main"])
+def test_boundary_subgrid_consistency(kwargs):
+    # each grid point is evaluated on its own, so a subgrid reproduces the
+    # full grid's values bit for bit
     rng = np.random.default_rng(47)
     pair = make_pair(rng, 6)
     eig = np.concatenate([np.linalg.eigvalsh(pair.s0), np.linalg.eigvalsh(pair.s)])
@@ -302,9 +351,9 @@ def test_boundary_subgrid_consistency():
         ]
     )
     sub = full[1::2]
-    tf = ssf_boundary(pair, full, method="krein")
-    ts = ssf_boundary(pair, sub, method="krein")
-    assert np.abs(tf.xi[1::2] - ts.xi).max() < 1e-9
+    tf = ssf_boundary(pair, full, **kwargs)
+    ts = ssf_boundary(pair, sub, **kwargs)
+    assert np.array_equal(tf.xi[1::2], ts.xi)
 
 
 def test_boundary_validations():
