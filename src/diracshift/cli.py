@@ -32,9 +32,9 @@ from . import __version__
 from .clifford import build_clifford, check_relations
 from .discretize import build_grid
 from .green import REGIME_SPLIT, green0, green0_limit0, green0_many
-from .potential import load_potential, polar_maps
+from .potential import load_potential
 from .regdet import product_residual, regdet
-from .resolvalg import bs_residuals, scaled_maps, threshold_classify
+from .resolvalg import bs_residuals, threshold_classify, threshold_sweep
 from .ssf import load_pair, ssf_boundary, witten_index
 
 __all__ = [
@@ -154,7 +154,9 @@ def _pair_re_im(z) -> list:
 
 
 def _matrix_json(m) -> list:
-    return [[_pair_re_im(v) for v in row] for row in np.atleast_2d(np.asarray(m))]
+    """A matrix (or a stack of them) as nested lists of [re, im] pairs."""
+    m = np.asarray(m, dtype=complex)
+    return np.stack([m.real, m.imag], -1).tolist()
 
 
 def _artifact(config: RunConfig, result: dict) -> dict:
@@ -250,7 +252,7 @@ def run_clifford(config: RunConfig):
         "generator_count": len(rep.alphas),
         "max_anticommutator_defect": audit["anticommutation_residual"],
         "max_hermiticity_defect": audit["hermiticity_residual"],
-        "generators": [_matrix_json(a) for a in rep.alphas],
+        "generators": _matrix_json(rep.alphas),
     }
     return result, EXIT_OK, None
 
@@ -312,8 +314,10 @@ def run_scan(config: RunConfig):
         "z": _pair_re_im(z),
         "direction": list(direction / norm),
         "distances": list(distances),
-        "kernels": [_matrix_json(k) for k in kernels],
+        "kernels": _matrix_json(kernels),
     }
+    if config.format != "csv":
+        return result, EXIT_OK, None
 
     header = ["s"]
     for a in range(rep.N):
@@ -452,6 +456,9 @@ def run_threshold(config: RunConfig):
     m = _as_int(params, "m", minimum=1)
     radius = _as_float(params, "R")
     tol = _as_float(params, "tol") if params.get("tol") is not None else 1e-3
+    sweep = parse_range(params["sweep"]) if params.get("sweep") is not None else None
+    if sweep is not None and np.any(sweep <= 0):
+        raise UsageError("--sweep amplitudes must be positive")
     rep = build_clifford(n)
     grid = build_grid(n, radius, m)
     report = threshold_classify(
@@ -467,21 +474,8 @@ def run_threshold(config: RunConfig):
         "hermiticity_defect": report.hermiticity_defect,
         "refinement_stable": report.refinement_stable,
     }
-    if params.get("sweep") is not None:
-        maps = polar_maps(potential)
-        sweep = []
-        for amp in parse_range(params["sweep"]):
-            if amp <= 0:
-                raise UsageError("--sweep amplitudes must be positive")
-            scan = threshold_classify(rep, grid, scaled_maps(maps, float(amp)), tol=tol)
-            sweep.append(
-                {
-                    "amplitude": float(amp),
-                    "min_abs_eigenvalue": float(np.abs(scan.eigenvalues).min()),
-                    "classification": scan.classification,
-                }
-            )
-        result["sweep"] = sweep
+    if sweep is not None:
+        result["sweep"] = threshold_sweep(rep, grid, potential, sweep, tol=tol)
     return result, EXIT_OK, None
 
 

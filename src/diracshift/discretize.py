@@ -6,7 +6,8 @@ w_i^(1/2) K(x_i, x_j) w_j^(1/2), so singular values approximate those of the
 continuous operator and Hermitian kernels give Hermitian matrices.  The
 |x-y|^(1-n) kernel singularity is integrable; diagonal blocks are set to
 zero (punctured rule) and the induced O(h) bias is absorbed by refinement
-tests rather than corrected.
+tests rather than corrected.  The Birman-Schwinger assemblers take the
+potential V itself and polar-factor its values at all nodes in one call.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import numpy as np
 
 from . import green
 from .clifford import CliffordRep
-from .potential import MatrixPotential, PolarMaps, polar_maps
+from .potential import MatrixPotential, PolarFactors, polar_factorize
 
 __all__ = [
     "MAX_ROWS",
@@ -151,27 +152,29 @@ def assemble_weighted_resolvent(
     )
 
 
-def _factor_maps(factors) -> PolarMaps:
-    if isinstance(factors, PolarMaps):
-        return factors
-    if isinstance(factors, MatrixPotential):
-        return polar_maps(factors)
-    raise TypeError("factors must be PolarMaps or a MatrixPotential")
+def _node_factors(rep: CliffordRep, grid: Grid, V) -> PolarFactors:
+    """Polar factors of V at every grid node, stacked as (M, N, N) arrays."""
+    if not isinstance(V, MatrixPotential):
+        raise TypeError("V must be a MatrixPotential")
+    if V.size != rep.N:
+        raise ValueError(f"potential block size {V.size} does not match N={rep.N}")
+    if V.n != grid.n:
+        raise ValueError(f"potential dimension {V.n} does not match grid n={grid.n}")
+    return polar_factorize(np.stack([V(x) for x in grid.nodes]))
 
 
-def assemble_bs(rep: CliffordRep, grid: Grid, z, factors) -> DiscretizedOperator:
-    """Birman-Schwinger blocks w_i^(1/2) V2(x_i) G0(z; x_i, x_j) V1(x_j)* w_j^(1/2)."""
-    maps = _factor_maps(factors)
-    if maps.size != rep.N:
-        raise ValueError(f"potential block size {maps.size} does not match N={rep.N}")
-    if maps.n != grid.n:
-        raise ValueError(f"potential dimension {maps.n} does not match grid n={grid.n}")
-    blocks = _kernel_blocks(rep, grid, z)
-    left = np.stack([maps.v2(x) for x in grid.nodes])
-    right = np.stack([maps.v1(x) for x in grid.nodes])
+def _sandwich(grid: Grid, left, blocks, right) -> np.ndarray:
+    """Blocks w_i^(1/2) left_i K_ij right_j* w_j^(1/2) as an (M, M, N, N) array."""
     sw = np.sqrt(grid.weights)
     blocks = np.einsum("iab,ijbc,jcd->ijad", left, blocks, right.conj().transpose(0, 2, 1))
-    blocks = blocks * sw[:, None, None, None] * sw[None, :, None, None]
+    return blocks * sw[:, None, None, None] * sw[None, :, None, None]
+
+
+def assemble_bs(rep: CliffordRep, grid: Grid, z, V) -> DiscretizedOperator:
+    """Birman-Schwinger blocks w_i^(1/2) V2(x_i) G0(z; x_i, x_j) V1(x_j)* w_j^(1/2)
+    of the potential V."""
+    f = _node_factors(rep, grid, V)
+    blocks = _sandwich(grid, f.v2, _kernel_blocks(rep, grid, z), f.v1)
     matrix = _to_matrix(blocks)
     _validate_finite(matrix, "Birman-Schwinger")
     return DiscretizedOperator(
@@ -179,21 +182,13 @@ def assemble_bs(rep: CliffordRep, grid: Grid, z, factors) -> DiscretizedOperator
     )
 
 
-def assemble_bs_selfadjoint(rep: CliffordRep, grid: Grid, factors) -> DiscretizedOperator:
-    """Self-adjoint zero-energy variant: U_V(x_i) on the diagonal plus
-    w_i^(1/2) V1(x_i) G0(0; x_i, x_j) V1(x_j) w_j^(1/2) off it."""
-    maps = _factor_maps(factors)
-    if maps.size != rep.N:
-        raise ValueError(f"potential block size {maps.size} does not match N={rep.N}")
-    if maps.n != grid.n:
-        raise ValueError(f"potential dimension {maps.n} does not match grid n={grid.n}")
-    blocks = _kernel_blocks(rep, grid, 0.0)
-    v1 = np.stack([maps.v1(x) for x in grid.nodes])
-    sw = np.sqrt(grid.weights)
-    blocks = np.einsum("iab,ijbc,jcd->ijad", v1, blocks, v1.conj().transpose(0, 2, 1))
-    blocks = blocks * sw[:, None, None, None] * sw[None, :, None, None]
-    for i, x in enumerate(grid.nodes):
-        blocks[i, i] = maps.uv(x)
+def assemble_bs_selfadjoint(rep: CliffordRep, grid: Grid, V) -> DiscretizedOperator:
+    """Self-adjoint zero-energy variant for the potential V: U_V(x_i) on the
+    diagonal plus w_i^(1/2) V1(x_i) G0(0; x_i, x_j) V1(x_j) w_j^(1/2) off it."""
+    f = _node_factors(rep, grid, V)
+    blocks = _sandwich(grid, f.v1, _kernel_blocks(rep, grid, 0.0), f.v1)
+    idx = np.arange(len(grid.nodes))
+    blocks[idx, idx] = f.uv
     matrix = _to_matrix(blocks)
     _validate_finite(matrix, "self-adjoint Birman-Schwinger")
     return DiscretizedOperator(

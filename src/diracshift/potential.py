@@ -4,7 +4,9 @@ A potential is a map x -> V(x) into Hermitian N x N matrices together with
 declared decay data (C, rho, eps) meaning |V_lm(x)| <= C <x>^(-rho).  The
 polar factorization V = V1* V2 with V1 = |V|^(1/2) and V2 = U_V V1 feeds
 every Birman-Schwinger construction downstream; U_V is the unitary
-self-adjoint sign of V, fixed to the identity on ker V.
+self-adjoint sign of V, fixed to the identity on ker V.  Assemblers take
+the potential V itself and factor its values at all grid nodes in one
+batched call.
 """
 
 from __future__ import annotations
@@ -19,13 +21,11 @@ __all__ = [
     "HYPOTHESIS_EXPONENTS",
     "MatrixPotential",
     "PolarFactors",
-    "PolarMaps",
     "bump",
     "decay_report",
     "gaussian",
     "load_potential",
     "polar_factorize",
-    "polar_maps",
     "power",
 ]
 
@@ -67,53 +67,32 @@ class PolarFactors:
     v2: np.ndarray
 
 
-@dataclass(frozen=True)
-class PolarMaps:
-    """The factor maps x -> V1(x), U_V(x), V2(x) of a matrix potential."""
-
-    n: int
-    size: int
-    v1: object = field(repr=False)
-    uv: object = field(repr=False)
-    v2: object = field(repr=False)
-
-
-def polar_maps(V: MatrixPotential) -> PolarMaps:
-    """Lift the pointwise polar factorization to maps over the potential."""
-
-    def v1(x):
-        return polar_factorize(V(x)).v1
-
-    def uv(x):
-        return polar_factorize(V(x)).uv
-
-    def v2(x):
-        return polar_factorize(V(x)).v2
-
-    return PolarMaps(n=V.n, size=V.size, v1=v1, uv=uv, v2=v2)
-
-
 def polar_factorize(v) -> PolarFactors:
     """Factor a Hermitian matrix as V = V1 U_V V1 with V1 >= 0, U_V^2 = I.
 
-    The sign of a zero eigenvalue is +1, so U_V acts as the identity on
-    ker V.  Functions of the eigenvalues are applied through the spectral
-    projectors, which keeps degenerate eigenspaces basis-independent.
+    ``v`` is one matrix or a stack (..., N, N); a stack is factored with
+    one batched eigh, and each member keeps its own Hermiticity scale and
+    kernel cut, so it factors exactly as it would alone.  The sign of a
+    zero eigenvalue is +1, so U_V acts as the identity on ker V.  Functions
+    of the eigenvalues are applied through the spectral projectors, which
+    keeps degenerate eigenspaces basis-independent.
     """
     v = np.asarray(v, dtype=complex)
-    if v.ndim != 2 or v.shape[0] != v.shape[1]:
-        raise ValueError("expected a square matrix")
-    defect = np.max(np.abs(v - v.conj().T))
-    scale = max(1.0, float(np.max(np.abs(v))))
-    if defect > 1e-12 * scale:
-        raise ValueError(f"matrix is not Hermitian (defect {defect:.2e})")
-    lam, q = np.linalg.eigh((v + v.conj().T) / 2)
-    cut = _KERNEL_RTOL * max(1.0, float(np.max(np.abs(lam))))
+    if v.ndim < 2 or v.shape[-1] != v.shape[-2]:
+        raise ValueError("expected a square matrix or a stack of them")
+    vh = v.conj().swapaxes(-1, -2)
+    defect = np.max(np.abs(v - vh), axis=(-2, -1))
+    scale = np.maximum(1.0, np.max(np.abs(v), axis=(-2, -1)))
+    if np.any(defect > 1e-12 * scale):
+        raise ValueError(f"matrix is not Hermitian (defect {np.max(defect):.2e})")
+    lam, q = np.linalg.eigh((v + vh) / 2)
+    cut = _KERNEL_RTOL * np.maximum(1.0, np.max(np.abs(lam), axis=-1, keepdims=True))
     sgn = np.where(lam < -cut, -1.0, 1.0)
     sq = np.sqrt(np.abs(lam))
-    v1 = (q * sq) @ q.conj().T
-    uv = (q * sgn) @ q.conj().T
-    v2 = (q * (sgn * sq)) @ q.conj().T
+    qh = q.conj().swapaxes(-1, -2)
+    v1 = (q * sq[..., None, :]) @ qh
+    uv = (q * sgn[..., None, :]) @ qh
+    v2 = (q * (sgn * sq)[..., None, :]) @ qh
     return PolarFactors(v1=v1, uv=uv, v2=v2)
 
 

@@ -5,9 +5,10 @@ inversion reduced to a projected subspace (with the inverse rebuilt from
 the reduced one), the Schur-complement block inverse, and the
 Birman-Schwinger identities tying the resolvent of S0 + V1* V2 to the
 sandwiched resolvent of S0.  On top of these sits a zero-energy
-classifier for discretized Dirac Hamiltonians: it assembles the
-self-adjoint U_V + V1 G0(0) V1* matrix on a grid and reads off whether
-the spectrum clears zero.
+classifier for discretized Dirac Hamiltonians: given a potential V it
+assembles the self-adjoint U_V + V1 G0(0) V1* matrix on a grid and reads
+off whether the spectrum clears zero.  That matrix is U_V + a K at
+coupling a, so a coupling sweep reuses one assembly.
 """
 
 from __future__ import annotations
@@ -19,12 +20,12 @@ from scipy.linalg import schur, solve_sylvester
 
 from .discretize import (
     Grid,
-    _factor_maps,
     _kernel_blocks,
+    _node_factors,
     assemble_bs_selfadjoint,
     build_grid,
 )
-from .potential import PolarMaps, polar_factorize
+from .potential import polar_factorize
 from .ssf import MatrixPair
 
 __all__ = [
@@ -34,8 +35,8 @@ __all__ = [
     "feshbach_invert",
     "jn_invert",
     "riesz_projection",
-    "scaled_maps",
     "threshold_classify",
+    "threshold_sweep",
 ]
 
 _IDEMPOTENT_TOL = 1e-11
@@ -247,22 +248,6 @@ def bs_residuals(source, z) -> dict:
     }
 
 
-def scaled_maps(maps: PolarMaps, amplitude: float) -> PolarMaps:
-    """Polar factor maps of amplitude * V: the square roots pick up
-    sqrt(amplitude), the sign factor is unchanged."""
-    amplitude = float(amplitude)
-    if amplitude <= 0:
-        raise ValueError("amplitude must be positive")
-    root = np.sqrt(amplitude)
-    return PolarMaps(
-        n=maps.n,
-        size=maps.size,
-        v1=lambda x: root * maps.v1(x),
-        uv=maps.uv,
-        v2=lambda x: root * maps.v2(x),
-    )
-
-
 @dataclass(frozen=True)
 class ThresholdReport:
     """Zero-energy classification of a discretized Dirac Hamiltonian.
@@ -285,27 +270,30 @@ class ThresholdReport:
     refinement_stable: object = None
 
 
-def _classify_spectrum(rep, grid, maps, tol):
-    op = assemble_bs_selfadjoint(rep, grid, maps)
-    scale = max(1.0, float(np.abs(op.matrix).max()))
-    defect = float(np.abs(op.matrix - op.matrix.conj().T).max())
+def _hermitian_part(matrix):
+    scale = max(1.0, float(np.abs(matrix).max()))
+    defect = float(np.abs(matrix - matrix.conj().T).max())
     if defect > 1e-8 * scale:
         raise FloatingPointError(
             f"assembled threshold matrix lost Hermiticity (defect {defect:.2e})"
         )
-    sym = (op.matrix + op.matrix.conj().T) / 2
+    return (matrix + matrix.conj().T) / 2, defect
+
+
+def _classify_spectrum(rep, grid, V, tol):
+    sym, defect = _hermitian_part(assemble_bs_selfadjoint(rep, grid, V).matrix)
     eigenvalues, vectors = np.linalg.eigh(sym)
     near_mask = np.abs(eigenvalues) < tol
     label = "exceptional" if near_mask.any() else "regular"
     return label, eigenvalues, near_mask, vectors, defect
 
 
-def _rebuild_psi0(rep, grid, maps, phi0):
+def _rebuild_psi0(rep, grid, V, phi0):
     # psi0(x_i) = -sum_j w_j G0(0; x_i, y_j) V1(y_j)* phi(y_j); the
     # eigenvectors carry the w^(1/2) embedding, so one root of w remains
     blocks = _kernel_blocks(rep, grid, 0.0)
     count = len(grid.nodes)
-    v1 = np.stack([maps.v1(x) for x in grid.nodes])
+    v1 = _node_factors(rep, grid, V).v1
     sw = np.sqrt(grid.weights)
     phi = phi0.reshape(count, rep.N, -1)
     integrand = np.einsum("jab,jbk->jak", v1.conj().transpose(0, 2, 1), phi)
@@ -314,9 +302,10 @@ def _rebuild_psi0(rep, grid, maps, phi0):
 
 
 def threshold_classify(
-    rep, grid: Grid, factors, tol: float = 1e-3, check_refinement: bool = False
+    rep, grid: Grid, V, tol: float = 1e-3, check_refinement: bool = False
 ) -> ThresholdReport:
-    """Classify z = 0 for the discretized Dirac pair as regular or exceptional.
+    """Classify z = 0 for the discretized Dirac pair with potential V as
+    regular or exceptional.
 
     Assembles the self-adjoint U_V + V1 G0(0) V1* matrix on the grid and
     calls the point regular when its spectrum keeps distance ``tol`` from
@@ -329,13 +318,12 @@ def threshold_classify(
     tol = float(tol)
     if tol <= 0:
         raise ValueError("tol must be positive")
-    maps = _factor_maps(factors)
     label, eigenvalues, near_mask, vectors, defect = _classify_spectrum(
-        rep, grid, maps, tol
+        rep, grid, V, tol
     )
     phi0 = vectors[:, near_mask]
     psi0 = (
-        _rebuild_psi0(rep, grid, maps, phi0)
+        _rebuild_psi0(rep, grid, V, phi0)
         if phi0.shape[1]
         else np.zeros((vectors.shape[0], 0), dtype=complex)
     )
@@ -343,7 +331,7 @@ def threshold_classify(
     stable = None
     if check_refinement:
         finer = build_grid(grid.n, grid.R, 2 * grid.m)
-        finer_label = _classify_spectrum(rep, finer, maps, tol)[0]
+        finer_label = _classify_spectrum(rep, finer, V, tol)[0]
         stable = finer_label == label
 
     return ThresholdReport(
@@ -356,3 +344,30 @@ def threshold_classify(
         hermiticity_defect=defect,
         refinement_stable=stable,
     )
+
+
+def threshold_sweep(rep, grid: Grid, V, amplitudes, tol: float = 1e-3) -> list:
+    """Zero-energy labels of a * V for each coupling a in ``amplitudes``.
+
+    Scaling V by a > 0 scales V1 by sqrt(a) and leaves U_V alone, and the
+    punctured rule keeps the kernel off the diagonal blocks, so the matrix
+    at coupling a is U_V on the diagonal blocks and a times the assembled
+    matrix off them: one assembly, then one eigvalsh per amplitude.  Returns
+    one {"amplitude", "min_abs_eigenvalue", "classification"} entry each.
+    """
+    tol = float(tol)
+    if tol <= 0:
+        raise ValueError("tol must be positive")
+    amplitudes = [float(a) for a in np.atleast_1d(amplitudes)]
+    if any(a <= 0 for a in amplitudes):
+        raise ValueError("amplitudes must be positive")
+    matrix = assemble_bs_selfadjoint(rep, grid, V).matrix
+    node = np.arange(matrix.shape[0]) // rep.N
+    diag_blocks = node[:, None] == node[None, :]
+    sweep = []
+    for a in amplitudes:
+        sym, _ = _hermitian_part(np.where(diag_blocks, matrix, a * matrix))
+        gap = float(np.abs(np.linalg.eigvalsh(sym)).min())
+        label = "exceptional" if gap < tol else "regular"
+        sweep.append({"amplitude": a, "min_abs_eigenvalue": gap, "classification": label})
+    return sweep

@@ -240,6 +240,18 @@ def test_threshold_classifies_weak_potential(tmp_path):
     assert all(s["classification"] == "regular" for s in r["sweep"])
 
 
+def test_threshold_sweep_rejects_nonpositive_amplitudes(tmp_path, capsys):
+    pot = write_potential(tmp_path)
+    code, art = run_to_file(
+        tmp_path,
+        ["threshold", "--n", "3", "--potential", pot, "--m", "2", "--R", "2.0",
+         "--sweep", "-1:1:3"],
+    )
+    assert code == 2
+    assert art is None
+    assert "positive" in json.loads(capsys.readouterr().err)["error"]
+
+
 def test_threshold_refinement_flag_plumbed(tmp_path):
     pot = write_potential(tmp_path)
     code, art = run_to_file(

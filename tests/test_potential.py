@@ -92,6 +92,33 @@ def test_polar_unitary_equivariance_simple_spectrum():
         assert np.linalg.norm(direct.uv - w @ base.uv @ w.conj().T) <= 1e-11
 
 
+def test_polar_stack_factors_each_member_alone():
+    # the -2e-13 eigenvalue is negative against its own matrix's cut
+    # (1e-13) but would count as kernel against a cut taken over the whole
+    # stack, where the norm-10 member raises it to 1e-12
+    rng = np.random.default_rng(45)
+    q, w = random_unitary(rng, 3), random_unitary(rng, 3)
+    stack = np.stack(
+        [
+            np.zeros((3, 3)),
+            w @ np.diag([2.0, -1.5, 0.5]) @ w.conj().T,
+            q @ np.diag([1.0, 0.5, -2e-13]) @ q.conj().T,
+            np.diag([10.0, -3.0, 2.0]),
+        ]
+    )
+    got = potential.polar_factorize(stack)
+    for i, v in enumerate(stack):
+        alone = potential.polar_factorize(v)
+        assert np.array_equal(got.v1[i], alone.v1)
+        assert np.array_equal(got.uv[i], alone.uv)
+        assert np.array_equal(got.v2[i], alone.v2)
+    assert np.linalg.eigvalsh(got.uv[2])[0] == pytest.approx(-1.0)
+    bad = stack.copy()
+    bad[1, 0, 1] += 1.0
+    with pytest.raises(ValueError, match="not Hermitian"):
+        potential.polar_factorize(bad)
+
+
 def test_polar_rejects_non_hermitian():
     with pytest.raises(ValueError):
         potential.polar_factorize(np.array([[0.0, 1.0], [0.0, 0.0]]))

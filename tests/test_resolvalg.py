@@ -8,15 +8,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from diracshift.discretize import assemble_bs_selfadjoint, build_grid
-from diracshift.potential import gaussian, polar_factorize, polar_maps
+from diracshift.potential import gaussian, polar_factorize
 from diracshift.resolvalg import (
     RieszProjection,
     bs_residuals,
     feshbach_invert,
     jn_invert,
     riesz_projection,
-    scaled_maps,
     threshold_classify,
+    threshold_sweep,
 )
 from diracshift.ssf import MatrixPair
 
@@ -331,18 +331,24 @@ def grid3():
     return build_grid(3, 3.0, 3)
 
 
+def well(amplitude):
+    # the attractive matrix Gaussian well at coupling ``amplitude``
+    return gaussian(3, amplitude=-amplitude, size=4)
+
+
 @pytest.fixture(scope="module")
-def attractive(reps):
-    return polar_maps(gaussian(3, amplitude=-1.0, size=reps[3].N))
+def attractive():
+    return well(1.0)
 
 
-def crossing_amplitude(rep, grid, maps):
-    # the assembled matrix is U + a K, linear in the amplitude; it is
-    # singular exactly when -1/a is an eigenvalue of U K
-    m1 = assemble_bs_selfadjoint(rep, grid, maps).matrix
-    m2 = assemble_bs_selfadjoint(rep, grid, scaled_maps(maps, 2.0)).matrix
-    k = m2 - m1
-    u = m1 - k
+def crossing_amplitude(rep, grid, V):
+    # the assembled matrix is U + a K, linear in the amplitude, with U on
+    # the diagonal blocks (punctured rule) and K off them; it is singular
+    # exactly when -1/a is an eigenvalue of U K
+    m = assemble_bs_selfadjoint(rep, grid, V).matrix
+    node = np.arange(m.shape[0]) // rep.N
+    u = np.where(node[:, None] == node[None, :], m, 0.0)
+    k = m - u
     mu = np.linalg.eigvals(u @ k)
     real = mu[np.abs(mu.imag) < 1e-9].real
     amps = np.sort(-1.0 / real[real < -1e-12])
@@ -357,8 +363,8 @@ def test_threshold_zero_potential_regular(reps, grid3):
     assert np.abs(report.eigenvalues - 1.0).max() < 1e-14
 
 
-def test_threshold_weak_potential_regular(reps, grid3, attractive):
-    report = threshold_classify(reps[3], grid3, scaled_maps(attractive, 0.01))
+def test_threshold_weak_potential_regular(reps, grid3):
+    report = threshold_classify(reps[3], grid3, well(0.01))
     assert report.classification == "regular"
     assert np.abs(report.eigenvalues).min() > 0.9
     assert report.hermiticity_defect < 1e-10
@@ -366,9 +372,7 @@ def test_threshold_weak_potential_regular(reps, grid3, attractive):
 
 def test_threshold_exceptional_at_pencil_crossing(reps, grid3, attractive):
     astar, _, _ = crossing_amplitude(reps[3], grid3, attractive)
-    report = threshold_classify(
-        reps[3], grid3, scaled_maps(attractive, astar), tol=1e-6
-    )
+    report = threshold_classify(reps[3], grid3, well(astar), tol=1e-6)
     assert report.classification == "exceptional"
     assert report.near.size >= 1
     assert np.abs(report.near).max() < 1e-6
@@ -380,11 +384,11 @@ def test_threshold_candidates_solve_fixed_point(reps, grid3, attractive):
     # each near-kernel pair satisfies phi = sqrt(w) V2 psi up to the
     # eigenvalue defect, with equality norm exactly |mu|
     astar, _, _ = crossing_amplitude(reps[3], grid3, attractive)
-    maps = scaled_maps(attractive, astar)
-    report = threshold_classify(reps[3], grid3, maps, tol=1e-6)
+    V = well(astar)
+    report = threshold_classify(reps[3], grid3, V, tol=1e-6)
     count = len(grid3.nodes)
     sw = np.sqrt(grid3.weights)
-    v2 = np.stack([maps.v2(x) for x in grid3.nodes])
+    v2 = polar_factorize(np.stack([V(x) for x in grid3.nodes])).v2
     psi = report.psi0.reshape(count, reps[3].N, -1)
     pred = np.einsum("j,jab,jbk->jak", sw, v2, psi).reshape(report.phi0.shape)
     resid = np.linalg.norm(report.phi0 - pred, axis=0)
@@ -404,8 +408,7 @@ def test_threshold_sweep_dips_at_crossing(reps, grid3, attractive):
 def test_threshold_refinement_flag(reps, grid3, attractive):
     astar, _, _ = crossing_amplitude(reps[3], grid3, attractive)
     tuned = threshold_classify(
-        reps[3], grid3, scaled_maps(attractive, astar), tol=1e-6,
-        check_refinement=True,
+        reps[3], grid3, well(astar), tol=1e-6, check_refinement=True,
     )
     # the crossing amplitude is a coarse-grid artifact, so doubling the
     # per-axis count moves it and the label flips
@@ -413,8 +416,7 @@ def test_threshold_refinement_flag(reps, grid3, attractive):
     assert tuned.refinement_stable is False
 
     weak = threshold_classify(
-        reps[3], grid3, scaled_maps(attractive, 0.01), tol=1e-6,
-        check_refinement=True,
+        reps[3], grid3, well(0.01), tol=1e-6, check_refinement=True,
     )
     assert weak.refinement_stable is True
 
@@ -424,20 +426,25 @@ def test_threshold_tol_must_be_positive(reps, grid3):
         threshold_classify(reps[3], grid3, gaussian(3, amplitude=0.0, size=4), tol=0.0)
 
 
-def test_scaled_maps_matches_rebuilt_amplitude(attractive):
-    direct = polar_maps(gaussian(3, amplitude=-2.5, size=4))
-    scaled = scaled_maps(attractive, 2.5)
-    rng = np.random.default_rng(16)
-    for _ in range(5):
-        x = rng.uniform(-2, 2, 3)
-        assert np.abs(direct.v1(x) - scaled.v1(x)).max() < 1e-12
-        assert np.abs(direct.uv(x) - scaled.uv(x)).max() < 1e-12
-        assert np.abs(direct.v2(x) - scaled.v2(x)).max() < 1e-12
+def test_threshold_sweep_matches_rescaled_classification(reps, grid3, attractive):
+    astar, _, _ = crossing_amplitude(reps[3], grid3, attractive)
+    amps = [0.01, 1.0, astar, astar + 1.0, 40.0]
+    sweep = threshold_sweep(reps[3], grid3, attractive, amps, tol=1e-6)
+    assert [e["amplitude"] for e in sweep] == amps
+    labels = []
+    for entry, a in zip(sweep, amps):
+        report = threshold_classify(reps[3], grid3, well(a), tol=1e-6)
+        assert entry["classification"] == report.classification
+        gap = np.abs(report.eigenvalues).min()
+        assert abs(entry["min_abs_eigenvalue"] - gap) < 1e-12
+        labels.append(entry["classification"])
+    assert labels[0] == "regular" and labels[2] == "exceptional"
 
 
-def test_scaled_maps_rejects_nonpositive_amplitude(attractive):
-    with pytest.raises(ValueError, match="positive"):
-        scaled_maps(attractive, 0.0)
+def test_threshold_sweep_rejects_nonpositive_amplitude(reps, grid3, attractive):
+    for amps in ([1.0, 0.0], [-2.0]):
+        with pytest.raises(ValueError, match="positive"):
+            threshold_sweep(reps[3], grid3, attractive, amps)
 
 
 def test_projection_dataclass_fields():
