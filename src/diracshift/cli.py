@@ -12,7 +12,9 @@ ranges are ``start:stop:count`` ("-5:5:200").  Exit codes: 0 success,
 validation error with a JSON error object on stderr.  CSV output exists
 for kernel scans only; everything else is canonical JSON.  A config file
 (--config) supplies defaults for parameters not given on the command
-line.
+line.  --pair and --potential accept what load_pair and load_potential
+accept: a file path or JSON text.  Optional parameters left out keep the
+library's defaults.
 """
 
 from __future__ import annotations
@@ -25,17 +27,19 @@ import sys
 import tempfile
 import time
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import __version__
+from ._checks import read_spec
 from .clifford import build_clifford, check_relations
 from .discretize import build_grid
 from .green import REGIME_SPLIT, green0, green0_limit0, green0_many
 from .potential import load_potential
 from .regdet import product_residual, regdet
 from .resolvalg import bs_residuals, threshold_classify, threshold_sweep
-from .ssf import load_pair, ssf_boundary, witten_index
+from .ssf import abel_transform, load_pair, ssf_boundary, witten_index
 
 __all__ = [
     "RunConfig",
@@ -97,34 +101,36 @@ def parse_range(text) -> np.ndarray:
     return np.linspace(start, stop, count)
 
 
-def _as_int(params, key, *, minimum=None):
-    value = params.get(key)
-    if value is None:
-        raise UsageError(f"missing required parameter: --{key.replace('_', '-')}")
-    try:
-        out = int(value)
-    except (TypeError, ValueError):
-        raise UsageError(f"--{key} must be an integer, got {value!r}") from None
-    if minimum is not None and out < minimum:
-        raise UsageError(f"--{key} must be at least {minimum}")
-    return out
-
-
-def _as_float(params, key):
-    value = params.get(key)
-    if value is None:
-        raise UsageError(f"missing required parameter: --{key.replace('_', '-')}")
-    try:
-        return float(value)
-    except (TypeError, ValueError):
-        raise UsageError(f"--{key} must be a real number, got {value!r}") from None
+def _flag(key) -> str:
+    return "--" + key.replace("_", "-")
 
 
 def _required(params, key):
     value = params.get(key)
     if value is None:
-        raise UsageError(f"missing required parameter: --{key.replace('_', '-')}")
+        raise UsageError(f"missing required parameter: {_flag(key)}")
     return value
+
+
+def _as_int(params, key, *, minimum=None, default=None):
+    if default is not None and params.get(key) is None:
+        return default
+    value = _required(params, key)
+    try:
+        out = int(value)
+    except (TypeError, ValueError):
+        raise UsageError(f"{_flag(key)} must be an integer, got {value!r}") from None
+    if minimum is not None and out < minimum:
+        raise UsageError(f"{_flag(key)} must be at least {minimum}")
+    return out
+
+
+def _as_float(params, key):
+    value = _required(params, key)
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise UsageError(f"{_flag(key)} must be a real number, got {value!r}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -201,45 +207,6 @@ def _emit(config: RunConfig, artifact: dict, csv_text: str | None):
 
 
 # ---------------------------------------------------------------------------
-# input files
-
-
-def _load_json_file(path, what):
-    try:
-        with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
-    except OSError as exc:
-        raise UsageError(f"cannot read {what} file: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise UsageError(f"{what} file is not valid JSON: {exc}") from None
-    if not isinstance(data, dict):
-        raise UsageError(f"{what} file: expected an object at /")
-    return data
-
-
-def _load_pair_file(path):
-    data = _load_json_file(path, "pair")
-    for key in ("s0", "v"):
-        if key not in data:
-            raise UsageError(f"pair file: missing member at /{key}")
-    try:
-        return load_pair(data)
-    except ValueError as exc:
-        raise UsageError(f"pair file: invalid data at /s0 or /v ({exc})") from None
-
-
-def _load_potential_file(path):
-    data = _load_json_file(path, "potential")
-    for key in ("family", "params", "n"):
-        if key not in data:
-            raise UsageError(f"potential file: missing member at /{key}")
-    try:
-        return load_potential(data)
-    except ValueError as exc:
-        raise UsageError(f"potential file: invalid data at /params ({exc})") from None
-
-
-# ---------------------------------------------------------------------------
 # subcommand pipelines
 
 
@@ -266,16 +233,13 @@ def run_green(config: RunConfig):
     rep = build_clifford(n)
     if x.shape != (n,) or y.shape != (n,):
         raise UsageError(f"--x and --y must have {n} components")
-    try:
-        if z == 0:
-            kernel = green0_limit0(rep, x, y)
-            regime = "zero-limit"
-        else:
-            kernel = green0(rep, z, x, y)
-            s = float(np.linalg.norm(x - y))
-            regime = "series" if abs(z) * s <= REGIME_SPLIT else "asymptotic"
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    if z == 0:
+        kernel = green0_limit0(rep, x, y)
+        regime = "zero-limit"
+    else:
+        kernel = green0(rep, z, x, y)
+        s = float(np.linalg.norm(x - y))
+        regime = "series" if abs(z) * s <= REGIME_SPLIT else "asymptotic"
     result = {
         "n": n,
         "N": rep.N,
@@ -303,11 +267,7 @@ def run_scan(config: RunConfig):
     if np.any(distances <= 0):
         raise UsageError("--distances must be positive separations")
     diffs = distances[:, None] * (direction / norm)[None, :]
-    try:
-        kernels = green0_many(rep, z, diffs)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
-
+    kernels = green0_many(rep, z, diffs)
     result = {
         "n": n,
         "N": rep.N,
@@ -353,10 +313,8 @@ def run_det_audit(config: RunConfig):
     k = _as_int(params, "k")
     if not 1 <= k <= 4:
         raise UsageError(f"unsupported k: {k} (the audit covers k in 1..4)")
-    dim = _as_int(params, "dim", minimum=1) if params.get("dim") is not None else 6
-    trials = (
-        _as_int(params, "trials", minimum=1) if params.get("trials") is not None else 100
-    )
+    dim = _as_int(params, "dim", minimum=1, default=6)
+    trials = _as_int(params, "trials", minimum=1, default=100)
     rng = np.random.default_rng(config.seed)
     residuals = np.empty(trials)
     for t in range(trials):
@@ -375,18 +333,18 @@ def run_det_audit(config: RunConfig):
 
 def run_ssf(config: RunConfig):
     params = config.params
-    pair = _load_pair_file(_required(params, "pair"))
+    pair = load_pair(_required(params, "pair"))
     grid = parse_range(_required(params, "grid"))
     method = str(_required(params, "method"))
     translation = {"counting": "counting", "krein": "krein", "eqmain": "eq_main"}
     if method not in translation:
         raise UsageError(f"unknown method {method!r}: use counting, krein, or eqmain")
-    m = _as_int(params, "m", minimum=1) if params.get("m") is not None else 1
-    if params.get("eps") is not None:
-        eps = tuple(float(p) for p in str(params["eps"]).split(","))
-    else:
-        eps = (1e-2, 5e-3, 2.5e-3)
-    table = ssf_boundary(pair, grid, eps_schedule=eps, method=translation[method], m=m)
+    options = {}
+    if "m" in params:
+        options["m"] = _as_int(params, "m", minimum=1)
+    if "eps" in params:
+        options["eps_schedule"] = parse_vector(params["eps"])
+    table = ssf_boundary(pair, grid, method=translation[method], **options)
     result = {
         "lambda": list(table.lambdas),
         "xi": [None if np.isnan(v) else float(v) for v in table.xi],
@@ -405,8 +363,6 @@ _XI_PROFILES = {
 
 
 def run_abel(config: RunConfig):
-    from .ssf import abel_transform
-
     params = config.params
     name = str(_required(params, "xi"))
     if name not in _XI_PROFILES:
@@ -420,14 +376,13 @@ def run_witten(config: RunConfig):
     params = config.params
     rows = _as_int(params, "rows", minimum=1)
     cols = _as_int(params, "cols", minimum=1)
-    k = _as_int(params, "k", minimum=1) if params.get("k") is not None else 1
+    options = {}
+    if "k" in params:
+        options["k"] = _as_int(params, "k", minimum=1)
+    if "schedule" in params:
+        options["lambda_schedule"] = parse_vector(params["schedule"])
     rng = np.random.default_rng(config.seed)
-    t = rng.standard_normal((rows, cols))
-    if params.get("schedule") is not None:
-        schedule = tuple(float(p) for p in str(params["schedule"]).split(","))
-        out = witten_index(t, k=k, lambda_schedule=schedule)
-    else:
-        out = witten_index(t, k=k)
+    out = witten_index(rng.standard_normal((rows, cols)), **options)
     result = {
         "rows": rows,
         "cols": cols,
@@ -441,7 +396,7 @@ def run_witten(config: RunConfig):
 
 def run_bs(config: RunConfig):
     params = config.params
-    pair = _load_pair_file(_required(params, "pair"))
+    pair = load_pair(_required(params, "pair"))
     z = parse_complex(_required(params, "z"))
     residuals = bs_residuals(pair, z)
     worst = max(residuals.values())
@@ -452,18 +407,18 @@ def run_bs(config: RunConfig):
 def run_threshold(config: RunConfig):
     params = config.params
     n = _as_int(params, "n", minimum=2)
-    potential = _load_potential_file(_required(params, "potential"))
+    potential = load_potential(_required(params, "potential"))
     m = _as_int(params, "m", minimum=1)
     radius = _as_float(params, "R")
-    tol = _as_float(params, "tol") if params.get("tol") is not None else 1e-3
-    sweep = parse_range(params["sweep"]) if params.get("sweep") is not None else None
+    options = {"tol": _as_float(params, "tol")} if "tol" in params else {}
+    sweep = parse_range(params["sweep"]) if "sweep" in params else None
     if sweep is not None and np.any(sweep <= 0):
         raise UsageError("--sweep amplitudes must be positive")
     rep = build_clifford(n)
     grid = build_grid(n, radius, m)
     report = threshold_classify(
-        rep, grid, potential, tol=tol,
-        check_refinement=bool(params.get("check_refinement")),
+        rep, grid, potential,
+        check_refinement=bool(params.get("check_refinement")), **options,
     )
     result = {
         "classification": report.classification,
@@ -475,16 +430,12 @@ def run_threshold(config: RunConfig):
         "refinement_stable": report.refinement_stable,
     }
     if sweep is not None:
-        result["sweep"] = threshold_sweep(rep, grid, potential, sweep, tol=tol)
+        result["sweep"] = threshold_sweep(rep, grid, potential, sweep, **options)
     return result, EXIT_OK, None
 
 
 def run_bench(config: RunConfig):
-    repeats = (
-        _as_int(config.params, "repeats", minimum=1)
-        if config.params.get("repeats") is not None
-        else 3
-    )
+    repeats = _as_int(config.params, "repeats", minimum=1, default=3)
     rep3 = build_clifford(3)
     rng = np.random.default_rng(config.seed)
     diffs = rng.standard_normal((2000, 3))
@@ -507,37 +458,47 @@ def _timed(fn) -> float:
     return time.perf_counter() - t0
 
 
-_HANDLERS = {
-    "clifford": run_clifford,
-    "green": run_green,
-    "scan": run_scan,
-    "bs": run_bs,
-    "det-audit": run_det_audit,
-    "ssf": run_ssf,
-    "abel": run_abel,
-    "witten": run_witten,
-    "threshold": run_threshold,
-    "bench": run_bench,
+class _Command(NamedTuple):
+    pipeline: Callable
+    help: str
+    params: tuple
+
+
+# every subcommand: its pipeline, its help line and its parameters; a
+# parameter "foo_bar" is the flag --foo-bar, and those in _SWITCHES take
+# no value
+_COMMANDS = {
+    "clifford": _Command(run_clifford, "generator batch with defect audit", ("n",)),
+    "green": _Command(run_green, "one Green kernel matrix", ("n", "z", "x", "y")),
+    "scan": _Command(
+        run_scan, "kernel scan along a ray", ("n", "z", "direction", "distances")
+    ),
+    "bs": _Command(run_bs, "Birman-Schwinger identity residuals", ("pair", "z")),
+    "det-audit": _Command(
+        run_det_audit, "determinant product-identity audit", ("k", "dim", "trials")
+    ),
+    "ssf": _Command(
+        run_ssf, "spectral shift table for a matrix pair",
+        ("pair", "grid", "method", "m", "eps"),
+    ),
+    "abel": _Command(run_abel, "arcsine average of a named profile", ("xi", "lambda")),
+    "witten": _Command(
+        run_witten, "index of a random rectangular matrix",
+        ("rows", "cols", "k", "schedule"),
+    ),
+    "threshold": _Command(
+        run_threshold, "zero-energy classification",
+        ("n", "potential", "m", "R", "tol", "sweep", "check_refinement"),
+    ),
+    "bench": _Command(run_bench, "timing snapshot of core kernels", ("repeats",)),
 }
 
-# long options whose values may start with "-" (ranges, complex numbers,
-# schedules); they are folded into --opt=value before argparse sees them
-_SIGNED_VALUE_OPTIONS = {
-    "--z", "--x", "--y", "--direction", "--distances", "--grid", "--eps",
-    "--lambda", "--schedule", "--sweep", "--tol",
-}
+_SWITCHES = {"check_refinement"}
 
-_COMMAND_PARAMS = {
-    "clifford": ["n"],
-    "green": ["n", "z", "x", "y"],
-    "scan": ["n", "z", "direction", "distances"],
-    "bs": ["pair", "z"],
-    "det-audit": ["k", "dim", "trials"],
-    "ssf": ["pair", "grid", "method", "m", "eps"],
-    "abel": ["xi", "lambda"],
-    "witten": ["rows", "cols", "k", "schedule"],
-    "threshold": ["n", "potential", "m", "R", "tol", "sweep", "check_refinement"],
-    "bench": ["repeats"],
+# flags whose values may start with "-" (ranges, complex numbers,
+# schedules); they are folded into --flag=value before argparse sees them
+_VALUE_FLAGS = {
+    _flag(key) for c in _COMMANDS.values() for key in c.params if key not in _SWITCHES
 }
 
 
@@ -553,122 +514,67 @@ class _Parser(argparse.ArgumentParser):
 
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=None, help="64-bit RNG seed")
+    common.add_argument("--seed", default=None, help="64-bit RNG seed")
     common.add_argument("--output", default=None, help="artifact path (default stdout)")
     common.add_argument("--format", choices=("json", "csv"), default=None)
     common.add_argument("--config", default=None, help="JSON file with default parameters")
 
     parser = _Parser(prog="diracshift", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-
-    p = sub.add_parser("clifford", parents=[common], help="generator batch with defect audit")
-    p.add_argument("--n", default=None)
-
-    p = sub.add_parser("green", parents=[common], help="one Green kernel matrix")
-    for flag in ("--n", "--z", "--x", "--y"):
-        p.add_argument(flag, default=None)
-
-    p = sub.add_parser("scan", parents=[common], help="kernel scan along a ray")
-    for flag in ("--n", "--z", "--direction", "--distances"):
-        p.add_argument(flag, default=None)
-
-    p = sub.add_parser("bs", parents=[common], help="Birman-Schwinger identity residuals")
-    p.add_argument("--pair", default=None)
-    p.add_argument("--z", default=None)
-
-    p = sub.add_parser("det-audit", parents=[common], help="determinant product-identity audit")
-    for flag in ("--k", "--dim", "--trials"):
-        p.add_argument(flag, default=None)
-
-    p = sub.add_parser("ssf", parents=[common], help="spectral shift table for a matrix pair")
-    for flag in ("--pair", "--grid", "--method", "--m", "--eps"):
-        p.add_argument(flag, default=None)
-
-    p = sub.add_parser("abel", parents=[common], help="arcsine average of a named profile")
-    p.add_argument("--xi", default=None)
-    p.add_argument("--lambda", dest="lam", default=None)
-
-    p = sub.add_parser("witten", parents=[common], help="index of a random rectangular matrix")
-    for flag in ("--rows", "--cols", "--k", "--schedule"):
-        p.add_argument(flag, default=None)
-
-    p = sub.add_parser("threshold", parents=[common], help="zero-energy classification")
-    for flag in ("--n", "--potential", "--m", "--R", "--tol", "--sweep"):
-        p.add_argument(flag, default=None)
-    p.add_argument("--check-refinement", dest="check_refinement", action="store_true")
-
-    p = sub.add_parser("bench", parents=[common], help="timing snapshot of core kernels")
-    p.add_argument("--repeats", default=None)
-
+    for name, command in _COMMANDS.items():
+        p = sub.add_parser(name, parents=[common], help=command.help)
+        for key in command.params:
+            if key in _SWITCHES:
+                p.add_argument(_flag(key), dest=key, action="store_true")
+            else:
+                p.add_argument(_flag(key), dest=key, default=None)
     return parser
 
 
 def _fold_signed_values(argv):
     out = []
-    i = 0
-    while i < len(argv):
-        tok = argv[i]
-        if (
-            tok in _SIGNED_VALUE_OPTIONS
-            and i + 1 < len(argv)
-            and argv[i + 1].startswith("-")
-        ):
-            out.append(f"{tok}={argv[i + 1]}")
-            i += 2
+    for tok in argv:
+        if out and out[-1] in _VALUE_FLAGS and tok.startswith("-"):
+            out[-1] += "=" + tok
         else:
             out.append(tok)
-            i += 1
     return out
 
 
 def config_from_args(argv=None) -> RunConfig:
-    if argv is None:
-        argv = sys.argv[1:]
-    parser = build_parser()
-    ns = vars(parser.parse_args(_fold_signed_values(list(argv))))
+    argv = sys.argv[1:] if argv is None else argv
+    ns = vars(build_parser().parse_args(_fold_signed_values(argv)))
 
-    if ns.get("config"):
-        overrides = _load_json_file(ns["config"], "config")
-        for key, value in overrides.items():
-            slot = "lam" if key == "lambda" else key
-            if slot not in ns:
+    if ns["config"]:
+        for key, value in read_spec(ns["config"], "config", ()).items():
+            if key not in ns:
                 raise UsageError(f"config file: unknown parameter at /{key}")
-            if ns[slot] is None or ns[slot] is False:
-                ns[slot] = value
+            if ns[key] is None or ns[key] is False:
+                ns[key] = value
 
     command = ns["command"]
     params = {}
-    for key in _COMMAND_PARAMS[command]:
-        slot = "lam" if key == "lambda" else key
-        value = ns.get(slot)
-        if value is not None and value is not False:
-            params[key] = value
+    for key in _COMMANDS[command].params:
+        if ns[key] is not None and ns[key] is not False:
+            params[key] = ns[key]
 
     return RunConfig(
         command=command,
         params=params,
-        seed=0 if ns.get("seed") is None else int(ns["seed"]),
-        output=ns.get("output"),
-        format=ns.get("format") or "json",
+        seed=_as_int(ns, "seed", default=0),
+        output=ns["output"],
+        format=ns["format"] or "json",
     )
 
 
 def main(argv=None) -> int:
     try:
         config = config_from_args(argv)
+        log.info("run config: %s", json.dumps(config.params, sort_keys=True))
+        result, code, csv_text = _COMMANDS[config.command].pipeline(config)
+        _emit(config, _artifact(config, result), csv_text)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
-    except UsageError as exc:
-        print(json.dumps({"error": str(exc)}), file=sys.stderr)
-        return EXIT_USAGE
-
-    log.info("run config: %s", json.dumps(config.params, sort_keys=True))
-    try:
-        result, code, csv_text = _HANDLERS[config.command](config)
-        _emit(config, _artifact(config, result), csv_text)
-    except UsageError as exc:
-        print(json.dumps({"error": str(exc)}), file=sys.stderr)
-        return EXIT_USAGE
     except (ValueError, FloatingPointError, RuntimeError) as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return EXIT_USAGE

@@ -11,11 +11,13 @@ batched call.
 
 from __future__ import annotations
 
-import json
+import inspect
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from ._checks import hermitian, read_spec
 
 __all__ = [
     "HYPOTHESIS_EXPONENTS",
@@ -202,14 +204,9 @@ def _default_size(n: int) -> int:
 
 def _coupling(matrix, size, amplitude):
     if matrix is None:
-        m = amplitude * np.eye(size, dtype=complex)
-    else:
-        m = np.asarray(matrix, dtype=complex) * amplitude
-        if m.shape != (m.shape[0], m.shape[0]):
-            raise ValueError("coupling matrix must be square")
-        if np.max(np.abs(m - m.conj().T)) > 1e-12 * max(1.0, np.max(np.abs(m))):
-            raise ValueError("coupling matrix must be Hermitian")
-    return m
+        return amplitude * np.eye(size, dtype=complex)
+    m = np.asarray(matrix, dtype=complex) * amplitude
+    return hermitian("coupling matrix", m, rtol=1e-12)
 
 
 def _fit_constant(profile, rho, tmax, peak) -> float:
@@ -295,42 +292,45 @@ def bump(n, *, radius=1.0, amplitude=1.0, matrix=None, size=None, rho=None, eps=
 
 _FAMILIES = {"gaussian": gaussian, "power": power, "bump": bump}
 
-_ALLOWED_PARAMS = {
-    "gaussian": {"width", "amplitude", "matrix", "size", "rho", "eps"},
-    "power": {"rho", "amplitude", "matrix", "size", "eps"},
-    "bump": {"radius", "amplitude", "matrix", "size", "rho", "eps"},
-}
+
+def _spec_value(value, kind, pointer):
+    try:
+        out = kind(value)
+        if np.all(np.isfinite(out)):
+            return out
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ValueError(f"potential spec: invalid value at {pointer}: {value!r}")
 
 
 def load_potential(source) -> MatrixPotential:
     """Build a potential from {"family": ..., "params": {...}, "n": int}.
 
-    ``source`` is a dict, a JSON string, or a path to a JSON file.  The
+    ``source`` is a dict, a JSON string, or a path to a JSON file.  Params
+    are finite reals ("size" an integer) and null keeps a default; the
     optional "matrix" param is a nested list (real entries) and must be
-    symmetric.
+    symmetric.  A malformed spec raises ValueError naming the member, as
+    in "/params/width".
     """
-    if isinstance(source, dict):
-        data = source
-    else:
-        text = str(source)
-        if text.lstrip().startswith("{"):
-            data = json.loads(text)
-        else:
-            with open(text, "r", encoding="utf-8") as fh:
-                data = json.load(fh)
-    missing = {"family", "params", "n"} - set(data)
-    if missing:
-        raise ValueError(f"potential spec missing keys: {sorted(missing)}")
-    family = data["family"]
-    if family not in _FAMILIES:
-        raise ValueError(f"unknown potential family {family!r}")
-    params = dict(data["params"])
-    unknown = set(params) - _ALLOWED_PARAMS[family]
+    data = read_spec(source, "potential", ("family", "params", "n"))
+    family = _FAMILIES.get(str(data["family"]))
+    if family is None:
+        raise ValueError(f"unknown potential family {data['family']!r}")
+    if not isinstance(data["params"], dict):
+        raise ValueError("potential spec: expected an object at /params")
+    # the params are the family's keywords; those without a default are required
+    fields = dict(inspect.signature(family).parameters)
+    del fields["n"]
+    unknown = set(data["params"]) - set(fields)
     if unknown:
-        raise ValueError(f"unknown params for {family}: {sorted(unknown)}")
-    if "matrix" in params and params["matrix"] is not None:
-        params["matrix"] = np.asarray(params["matrix"], dtype=float)
-    if family == "power":
-        rho = params.pop("rho")
-        return power(int(data["n"]), rho, **params)
-    return _FAMILIES[family](int(data["n"]), **params)
+        raise ValueError(f"unknown params for {data['family']}: {sorted(unknown)}")
+    kinds = {"matrix": lambda v: np.asarray(v, dtype=float), "size": int}
+    params = {
+        key: _spec_value(value, kinds.get(key, float), f"/params/{key}")
+        for key, value in data["params"].items()
+        if value is not None
+    }
+    for key, spec in fields.items():
+        if spec.default is spec.empty and key not in params:
+            raise ValueError(f"potential spec: missing member at /params/{key}")
+    return family(_spec_value(data["n"], int, "/n"), **params)

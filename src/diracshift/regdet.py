@@ -24,6 +24,8 @@ from fractions import Fraction
 
 import numpy as np
 
+from ._checks import order, square
+
 __all__ = [
     "WordExpression",
     "logdet_k",
@@ -36,20 +38,11 @@ __all__ = [
 ]
 
 
-def _square(name, M) -> np.ndarray:
-    M = np.atleast_2d(np.asarray(M, dtype=complex))
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise ValueError(f"{name} must be a square matrix, got shape {M.shape}")
-    return M
-
-
-def _check_order(k, upper=None) -> int:
-    if k != int(k) or int(k) < 1:
-        raise ValueError(f"order k must be a positive integer, got {k!r}")
-    k = int(k)
-    if upper is not None and k > upper:
-        raise ValueError(f"order k={k} unsupported here (max {upper})")
-    return k
+def _square_pair(A, B):
+    A, B = square("A", A), square("B", B)
+    if A.shape != B.shape:
+        raise ValueError(f"size mismatch: A is {A.shape}, B is {B.shape}")
+    return A, B
 
 
 def logdet_k(k, A):
@@ -61,7 +54,7 @@ def logdet_k(k, A):
     reduced to a principal branch.  An eigenvalue of exactly -1 gives a
     real part of -inf.
     """
-    k = _check_order(k)
+    k = order(k)
     A = np.atleast_2d(np.asarray(A, dtype=complex))
     if A.shape[-1] != A.shape[-2]:
         raise ValueError(f"A must be square, got shape {A.shape}")
@@ -79,7 +72,7 @@ def regdet(k, A) -> complex:
     k = 1 is the plain determinant; higher k strips the first k-1 traces
     from the exponent, eigenvalue by eigenvalue.
     """
-    return complex(np.exp(logdet_k(k, _square("A", A))))
+    return complex(np.exp(logdet_k(k, square("A", A))))
 
 
 # ---------------------------------------------------------------------------
@@ -125,10 +118,7 @@ class WordExpression:
 
     def evaluate(self, A, B) -> np.ndarray:
         """Substitute matrices for the letters."""
-        A = _square("A", A)
-        B = _square("B", B)
-        if A.shape != B.shape:
-            raise ValueError("A and B must have the same shape")
+        A, B = _square_pair(A, B)
         letters = {"A": A, "B": B}
         out = np.zeros_like(A)
         for word, c in self.coeffs.items():
@@ -156,7 +146,7 @@ def xk_words(k) -> WordExpression:
     """The correction X_k(A,B) as a word expression: over j < k and subsets
     of the j slots with j + |subset| >= k, the subset slots carry the pair
     AB and the rest carry A+B, weighted by (-1)^|subset|/j."""
-    k = _check_order(k)
+    k = order(k)
     total = {}
     for j in range(1, k):
         for mask in range(2**j):
@@ -210,11 +200,8 @@ def z_words(k1, k2) -> WordExpression:
 
 def xk_correction(k, A, B) -> np.ndarray:
     """X_k(A,B) evaluated on matrices via the combinatorial sum; X_1 = 0."""
-    k = _check_order(k, upper=5)
-    A = _square("A", A)
-    B = _square("B", B)
-    if A.shape != B.shape:
-        raise ValueError(f"size mismatch: A is {A.shape}, B is {B.shape}")
+    k = order(k, upper=5)
+    A, B = _square_pair(A, B)
     d = A.shape[0]
     S = A + B
     P = A @ B
@@ -233,11 +220,8 @@ def xk_correction(k, A, B) -> np.ndarray:
 
 def trace_xk(k, A, B) -> complex:
     """Closed-form tr X_k(A,B) for k = 1..4."""
-    k = _check_order(k, upper=4)
-    A = _square("A", A)
-    B = _square("B", B)
-    if A.shape != B.shape:
-        raise ValueError(f"size mismatch: A is {A.shape}, B is {B.shape}")
+    k = order(k, upper=4)
+    A, B = _square_pair(A, B)
     if k == 1:
         return 0j
     P = A @ B
@@ -262,11 +246,8 @@ def trace_xk(k, A, B) -> complex:
 def product_residual(k, A, B) -> float:
     """Relative defect of det_k((I-A)(I-B)) against
     det_k(I-A) det_k(I-B) exp(tr X_k(A,B))."""
-    k = _check_order(k, upper=5)
-    A = _square("A", A)
-    B = _square("B", B)
-    if A.shape != B.shape:
-        raise ValueError(f"size mismatch: A is {A.shape}, B is {B.shape}")
+    k = order(k, upper=5)
+    A, B = _square_pair(A, B)
     det_a = regdet(k, -A)
     det_b = regdet(k, -B)
     if det_a == 0 or det_b == 0:

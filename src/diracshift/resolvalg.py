@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import schur, solve_sylvester
 
+from ._checks import hermitian, offreal, square
 from .discretize import (
     Grid,
     _kernel_blocks,
@@ -40,13 +41,6 @@ __all__ = [
 ]
 
 _IDEMPOTENT_TOL = 1e-11
-
-
-def _square(name: str, m) -> np.ndarray:
-    m = np.atleast_2d(np.asarray(m, dtype=complex))
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"{name} must be a square matrix, got shape {m.shape}")
-    return m
 
 
 @dataclass(frozen=True)
@@ -84,7 +78,7 @@ def riesz_projection(a, lambda0, radius) -> RieszProjection:
     an eigenvalue hugs the contour too closely for the quadrature.  The
     rank is cross-checked against the eigenvalue count inside the circle.
     """
-    a = _square("matrix", a)
+    a = square("matrix", a)
     lambda0 = complex(lambda0)
     radius = float(radius)
     if radius <= 0:
@@ -135,10 +129,10 @@ def jn_invert(a, p):
     A^{-1} = (A+P)^{-1} + (A+P)^{-1} P reduced^{-1} P (A+P)^{-1}, or None
     when the reduced matrix is singular (equivalently, A is singular).
     """
-    a = _square("a", a)
+    a = square("a", a)
     if isinstance(p, RieszProjection):
         p = p.matrix
-    p = _square("p", p)
+    p = square("p", p)
     if p.shape != a.shape:
         raise ValueError(f"shape mismatch: a is {a.shape}, p is {p.shape}")
     pscale = max(1.0, float(np.abs(p).max()))
@@ -172,8 +166,8 @@ def feshbach_invert(b11, b12, b21, b22):
     Requires b22 invertible; returns None when the complement is singular,
     which is exactly when the full block matrix is.
     """
-    b11 = _square("b11", b11)
-    b22 = _square("b22", b22)
+    b11 = square("b11", b11)
+    b22 = square("b22", b22)
     b12 = np.atleast_2d(np.asarray(b12, dtype=complex))
     b21 = np.atleast_2d(np.asarray(b21, dtype=complex))
     p, q = b11.shape[0], b22.shape[0]
@@ -207,19 +201,14 @@ def bs_residuals(source, z) -> dict:
     "complement" for V2 (S-z)^{-1} V1* = I - [I + V2 (S0-z)^{-1} V1*]^{-1},
     "product" for V1 (S-z)^{-1} V1* = V1 (S0-z)^{-1} V1* [same inverse].
     """
-    z = complex(z)
-    if z.imag == 0.0:
-        raise ValueError("z must lie off the real axis")
+    z = offreal(z)
     if isinstance(source, MatrixPair):
         factors = polar_factorize(source.v)
         s0, v1, v2 = source.s0, factors.v1, factors.v2
     else:
         s0, v1, v2 = source
-        s0 = _square("s0", s0)
-        v1 = np.atleast_2d(np.asarray(v1, dtype=complex))
-        v2 = np.atleast_2d(np.asarray(v2, dtype=complex))
-        if np.abs(s0 - s0.conj().T).max() > 1e-13 * max(1.0, np.abs(s0).max()):
-            raise ValueError("s0 must be Hermitian")
+        s0 = hermitian("s0", s0)
+        v1, v2 = (np.atleast_2d(np.asarray(v, dtype=complex)) for v in (v1, v2))
 
     d = s0.shape[0]
     eye_d = np.eye(d)

@@ -16,12 +16,13 @@ index for rectangular matrices.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
+
+from ._checks import hermitian, offreal, order, read_spec
 
 # regdet stays bound here for callers that take it from this module
 from .regdet import logdet_k, regdet  # noqa: F401
@@ -49,29 +50,6 @@ FLAG_DISTANCE = 0.05
 _COLLISION = 1e-12
 
 
-def _hermitian(name: str, m) -> np.ndarray:
-    m = np.atleast_2d(np.asarray(m, dtype=complex))
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"{name} must be a square matrix, got shape {m.shape}")
-    scale = max(1.0, float(np.abs(m).max()))
-    if np.abs(m - m.conj().T).max() > 1e-13 * scale:
-        raise ValueError(f"{name} must be Hermitian")
-    return m
-
-
-def _offreal(z) -> complex:
-    z = complex(z)
-    if z.imag == 0.0:
-        raise ValueError("z must lie off the real axis")
-    return z
-
-
-def _order(m) -> int:
-    if not isinstance(m, (int, np.integer)) or isinstance(m, bool) or m < 1:
-        raise ValueError(f"order m must be a positive integer, got {m!r}")
-    return int(m)
-
-
 @dataclass(frozen=True)
 class MatrixPair:
     """A Hermitian reference matrix and a Hermitian perturbation."""
@@ -80,8 +58,8 @@ class MatrixPair:
     v: np.ndarray
 
     def __post_init__(self):
-        s0 = _hermitian("s0", self.s0)
-        v = _hermitian("v", self.v)
+        s0 = hermitian("s0", self.s0)
+        v = hermitian("v", self.v)
         if s0.shape != v.shape:
             raise ValueError(
                 f"shape mismatch: s0 is {s0.shape}, v is {v.shape}"
@@ -98,14 +76,17 @@ class MatrixPair:
         return self.s0.shape[0]
 
 
-def _read_matrix(obj) -> np.ndarray:
-    if isinstance(obj, dict):
-        if set(obj) != {"re", "im"}:
-            raise ValueError("complex matrix entries need exactly 're' and 'im'")
-        return np.asarray(obj["re"], dtype=float) + 1j * np.asarray(
-            obj["im"], dtype=float
-        )
-    return np.asarray(obj, dtype=float).astype(complex)
+def _read_matrix(data, key) -> np.ndarray:
+    obj = data[key]
+    try:
+        if isinstance(obj, dict):
+            if set(obj) != {"re", "im"}:
+                raise ValueError("complex matrix entries need exactly 're' and 'im'")
+            re, im = (np.asarray(obj[part], dtype=float) for part in ("re", "im"))
+            return re + 1j * im
+        return np.asarray(obj, dtype=float).astype(complex)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"pair spec: invalid matrix at /{key} ({exc})") from None
 
 
 def load_pair(source) -> MatrixPair:
@@ -115,19 +96,8 @@ def load_pair(source) -> MatrixPair:
     matrix M is a nested list of reals, or {"re": [[...]], "im": [[...]]}
     for complex entries.
     """
-    if isinstance(source, dict):
-        data = source
-    else:
-        text = str(source)
-        if text.lstrip().startswith("{"):
-            data = json.loads(text)
-        else:
-            with open(text, "r", encoding="utf-8") as fh:
-                data = json.load(fh)
-    missing = {"s0", "v"} - set(data)
-    if missing:
-        raise ValueError(f"pair spec missing keys: {sorted(missing)}")
-    return MatrixPair(_read_matrix(data["s0"]), _read_matrix(data["v"]))
+    data = read_spec(source, "pair", ("s0", "v"))
+    return MatrixPair(_read_matrix(data, "s0"), _read_matrix(data, "v"))
 
 
 def ssf_count_oracle(pair: MatrixPair, lam: float) -> int:
@@ -158,8 +128,8 @@ def perturbation_logdet(m: int, z, pair: MatrixPair) -> complex:
     where B(z) = V (S0 - z)^{-1}.  The imaginary part is per-point
     principal; continuity along a path is the caller's concern.
     """
-    m = _order(m)
-    z = _offreal(z)
+    m = order(m, "m")
+    z = offreal(z)
     val = logdet_k(m + 1, _bmatrix(pair, z))
     if val.real == -np.inf:
         raise ValueError("perturbation determinant vanished; z too close to spectrum")
@@ -178,7 +148,7 @@ def _g_of_b(m: int, b: np.ndarray):
 
 def g_correction(m: int, z, pair: MatrixPair) -> complex:
     """The truncated trace series sum_{j=1}^{m} (-1)^j tr(B(z)^j) / j."""
-    return complex(_g_of_b(_order(m), _bmatrix(pair, _offreal(z))))
+    return complex(_g_of_b(order(m, "m"), _bmatrix(pair, offreal(z))))
 
 
 @dataclass(frozen=True)
@@ -218,8 +188,8 @@ def g_deriv_paper(m: int, z, pair: MatrixPair) -> complex:
     product rule m-1 more times before evaluating, so no finite
     differences enter.
     """
-    m = _order(m)
-    z = _offreal(z)
+    m = order(m, "m")
+    z = offreal(z)
     words = []
     for i in range(1, m + 1):
         factors = (1,) + ("V", 1) * i
@@ -312,7 +282,7 @@ def ssf_boundary(
         raise ValueError("lambdas must be strictly increasing")
     if method not in ("counting", "krein", "eq_main"):
         raise ValueError(f"unknown method {method!r}")
-    m = _order(m)
+    m = order(m, "m")
 
     eig0 = np.linalg.eigvalsh(pair.s0)
     eig1 = np.linalg.eigvalsh(pair.s)
@@ -336,9 +306,9 @@ def ssf_boundary(
         raise ValueError("eps schedule must be positive and strictly decreasing")
 
     # krein is det_1 with no trace series to restore
-    order = 0 if method == "krein" else m
+    restored = 0 if method == "krein" else m
     curves = np.stack(
-        [_phase_curve(pair, lambdas, e, order, eig0, eig1) for e in eps_schedule]
+        [_phase_curve(pair, lambdas, e, restored, eig0, eig1) for e in eps_schedule]
     )
     xi = _extrapolate_to_zero(np.asarray(eps_schedule), curves) / np.pi
     flags = dist < FLAG_DISTANCE
@@ -354,8 +324,8 @@ def trace_formula_residual(m: int, pair: MatrixPair, z) -> float:
     eigenvalue breakpoints, so the integral is summed in closed form per
     interval; no quadrature error enters the reported residual.
     """
-    m = _order(m)
-    z = _offreal(z)
+    m = order(m, "m")
+    z = offreal(z)
     d = pair.dim
     eye = np.eye(d)
     r1 = np.linalg.matrix_power(np.linalg.inv(pair.s - z * eye), m)
@@ -435,7 +405,7 @@ def witten_index(T, k: int = 1, lambda_schedule=(-1e-1, -1e-2, -1e-3)) -> Witten
     dim ker T - dim ker T*; the schedule exists to expose that constancy,
     and the extrapolated value is the schedule mean.
     """
-    k = _order(k)
+    k = order(k)
     T = np.atleast_2d(np.asarray(T, dtype=complex))
     schedule = tuple(float(x) for x in lambda_schedule)
     if not schedule or any(x >= 0 for x in schedule):

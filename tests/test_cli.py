@@ -4,6 +4,7 @@ and the documented example invocations."""
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -388,3 +389,82 @@ def test_bench_reports_positive_timings(tmp_path):
     cases = art["result"]["cases"]
     assert len(cases) == 3
     assert all(c["best_seconds"] > 0 for c in cases)
+
+
+# ---------------------------------------------------------------------------
+# malformed inputs and the command table
+
+
+@pytest.mark.parametrize(
+    "spec, pointer",
+    [
+        ({"family": "power", "n": 3, "params": {"amplitude": 0.5}}, "/params/rho"),
+        ({"family": "gaussian", "n": 3, "params": {"width": "abc"}}, "/params/width"),
+        ({"family": "gaussian", "n": 3, "params": [1]}, "/params"),
+    ],
+    ids=["power-without-rho", "width-not-a-number", "params-not-an-object"],
+)
+def test_malformed_potential_file_exits_two(tmp_path, capsys, spec, pointer):
+    pot = tmp_path / "pot.json"
+    pot.write_text(json.dumps(spec))
+    code, art = run_to_file(
+        tmp_path, ["threshold", "--n", "3", "--potential", str(pot), "--m", "2", "--R", "2"]
+    )
+    assert code == 2
+    assert art is None
+    assert pointer in json.loads(capsys.readouterr().err)["error"]
+
+
+def test_config_seed_must_be_an_integer(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(json.dumps({"seed": "abc"}))
+    code = main(["clifford", "--n", "2", "--config", str(cfg)])
+    assert code == 2
+    assert "--seed" in json.loads(capsys.readouterr().err)["error"]
+
+
+@pytest.mark.parametrize("entry", [float("nan"), None])
+def test_ssf_rejects_non_finite_pair(tmp_path, capsys, entry):
+    pair = tmp_path / "pair.json"
+    s0 = [[1.0, 0.0], [0.0, entry]]
+    pair.write_text(json.dumps({"s0": s0, "v": [[0.3, 0.1], [0.1, -0.2]]}))
+    code, art = run_to_file(
+        tmp_path, ["ssf", "--pair", str(pair), "--grid", "-5:5:10", "--method", "counting"]
+    )
+    assert code == 2
+    assert art is None
+    assert "finite" in json.loads(capsys.readouterr().err)["error"]
+
+
+COMMAND_FLAGS = {
+    "clifford": {"--n"},
+    "green": {"--n", "--z", "--x", "--y"},
+    "scan": {"--n", "--z", "--direction", "--distances"},
+    "bs": {"--pair", "--z"},
+    "det-audit": {"--k", "--dim", "--trials"},
+    "ssf": {"--pair", "--grid", "--method", "--m", "--eps"},
+    "abel": {"--xi", "--lambda"},
+    "witten": {"--rows", "--cols", "--k", "--schedule"},
+    "threshold": {
+        "--n", "--potential", "--m", "--R", "--tol", "--sweep", "--check-refinement"
+    },
+    "bench": {"--repeats"},
+}
+
+
+@pytest.mark.parametrize("command", sorted(COMMAND_FLAGS))
+def test_help_lists_exactly_the_command_flags(command, capsys):
+    assert main([command, "--help"]) == 0
+    flags = set(re.findall(r"--[A-Za-z][\w-]*", capsys.readouterr().out))
+    common = {"--help", "--seed", "--output", "--format", "--config"}
+    assert flags - common == COMMAND_FLAGS[command]
+
+
+def test_config_lambda_matches_the_flag(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(json.dumps({"xi": "step", "lambda": 1e-6}))
+    code, from_config = run_to_file(tmp_path, ["abel", "--config", str(cfg)], "cfg.json")
+    assert code == 0
+    code, from_flags = run_to_file(tmp_path, ["abel", "--xi", "step", "--lambda", "1e-6"])
+    assert code == 0
+    assert from_config["result"] == from_flags["result"]

@@ -272,3 +272,24 @@ def test_default_matrix_size_matches_spinor_dimension():
     assert potential.gaussian(3).size == 4
     assert potential.gaussian(4).size == 4
     assert potential.gaussian(5).size == 8
+
+
+@pytest.mark.parametrize(
+    "spec, pointer",
+    [
+        ({"family": "power", "params": {"amplitude": 1.0}, "n": 3}, "/params/rho"),
+        ({"family": "bump", "params": {"radius": "wide"}, "n": 3}, "/params/radius"),
+        ({"family": "gaussian", "params": {"size": 2.5e400}, "n": 3}, "/params/size"),
+        ({"family": "gaussian", "params": {"matrix": [[1.0, "x"]]}, "n": 2}, "/params/matrix"),
+        ({"family": "gaussian", "params": [1], "n": 3}, "/params"),
+        ({"family": "gaussian", "params": {}, "n": "three"}, "/n"),
+    ],
+)
+def test_loader_names_the_malformed_member(spec, pointer):
+    with pytest.raises(ValueError, match=pointer):
+        potential.load_potential(spec)
+
+
+def test_loader_null_param_keeps_the_default():
+    V = potential.load_potential({"family": "gaussian", "params": {"rho": None}, "n": 3})
+    assert V.rho == 3 + 4.0

@@ -244,3 +244,10 @@ def test_product_residual_singular_rejected():
     B = np.diag([0.1, 0.1])
     with pytest.raises(ValueError, match="singular"):
         rd.product_residual(2, A, B)
+
+
+def test_order_must_be_an_integer_type():
+    for k in (2.0, True, np.float64(3.0)):
+        with pytest.raises(ValueError, match="positive integer"):
+            rd.regdet(k, np.eye(2))
+    assert rd.regdet(np.int64(2), np.zeros((2, 2))) == 1.0

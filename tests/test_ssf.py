@@ -543,3 +543,13 @@ def test_load_pair_rejections():
         load_pair({"s0": [[0.0, 1.0], [0.0, 0.0]], "v": [[0.0, 0.0], [0.0, 0.0]]})
     with pytest.raises(ValueError, match="shape mismatch"):
         MatrixPair(np.zeros((2, 2)), np.zeros((3, 3)))
+
+
+@pytest.mark.parametrize("entry", [np.nan, np.inf])
+def test_pair_rejects_non_finite_entries(entry):
+    s0 = np.eye(2)
+    s0[1, 1] = entry
+    with pytest.raises(ValueError, match="finite"):
+        MatrixPair(s0, np.zeros((2, 2)))
+    with pytest.raises(ValueError, match="finite"):
+        load_pair({"s0": [[1.0, 0.0], [0.0, None]], "v": [[0.0, 0.0], [0.0, 0.0]]})
