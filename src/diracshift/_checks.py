@@ -1,13 +1,15 @@
 """The input rules the library relies on, each checked in one place:
 square matrices, Hermitian matrices with finite entries (V and the pair
-(H, H0)), positive integer orders k of det_k, z off the real axis, and
-specs given as a dict, JSON text or a JSON file.  Every failure is a
+(H, H0)), positive finite reals (radii, widths, tolerances, couplings),
+positive integer orders k of det_k, z off the real axis, and specs given
+as a dict, JSON text or a JSON file.  Every failure is a
 ValueError that names the offending input.
 """
 
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 
@@ -29,6 +31,14 @@ def hermitian(name: str, m, rtol: float = 1e-13) -> np.ndarray:
     if np.abs(m - m.conj().T).max() > rtol * scale:
         raise ValueError(f"{name} must be Hermitian")
     return m
+
+
+def positive(x, name: str) -> float:
+    """``x`` as a float in (0, inf); NaN and the infinities are rejected."""
+    x = float(x)
+    if not 0.0 < x < math.inf:
+        raise ValueError(f"{name} must be positive and finite, got {x!r}")
+    return x
 
 
 def offreal(z) -> complex:

@@ -32,12 +32,13 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import __version__
-from ._checks import read_spec
+from ._checks import positive, read_spec
 from .clifford import build_clifford, check_relations
 from .discretize import build_grid
 from .green import REGIME_SPLIT, green0, green0_limit0, green0_many
 from .potential import load_potential
-from .regdet import product_residual, regdet
+# regdet stays bound here for callers that take it from this module
+from .regdet import product_residual, regdet  # noqa: F401
 from .resolvalg import bs_residuals, threshold_classify, threshold_sweep
 from .ssf import abel_transform, load_pair, ssf_boundary, witten_index
 
@@ -264,8 +265,8 @@ def run_scan(config: RunConfig):
     norm = np.linalg.norm(direction)
     if norm == 0:
         raise UsageError("--direction must be nonzero")
-    if np.any(distances <= 0):
-        raise UsageError("--distances must be positive separations")
+    for s in distances:
+        positive(s, "--distances separation")
     diffs = distances[:, None] * (direction / norm)[None, :]
     kernels = green0_many(rep, z, diffs)
     result = {
@@ -411,9 +412,9 @@ def run_threshold(config: RunConfig):
     m = _as_int(params, "m", minimum=1)
     radius = _as_float(params, "R")
     options = {"tol": _as_float(params, "tol")} if "tol" in params else {}
-    sweep = parse_range(params["sweep"]) if "sweep" in params else None
-    if sweep is not None and np.any(sweep <= 0):
-        raise UsageError("--sweep amplitudes must be positive")
+    sweep = None
+    if "sweep" in params:
+        sweep = [positive(a, "--sweep amplitude") for a in parse_range(params["sweep"])]
     rep = build_clifford(n)
     grid = build_grid(n, radius, m)
     report = threshold_classify(
@@ -432,30 +433,6 @@ def run_threshold(config: RunConfig):
     if sweep is not None:
         result["sweep"] = threshold_sweep(rep, grid, potential, sweep, **options)
     return result, EXIT_OK, None
-
-
-def run_bench(config: RunConfig):
-    repeats = _as_int(config.params, "repeats", minimum=1, default=3)
-    rep3 = build_clifford(3)
-    rng = np.random.default_rng(config.seed)
-    diffs = rng.standard_normal((2000, 3))
-    dense = _contraction(rng, 60)
-    cases = [
-        ("clifford n=6", lambda: build_clifford(6)),
-        ("green batch n=3 (2000 points)", lambda: green0_many(rep3, 1j, diffs)),
-        ("regdet k=2 dim=60", lambda: regdet(2, dense)),
-    ]
-    rows = []
-    for name, fn in cases:
-        best = min(_timed(fn) for _ in range(repeats))
-        rows.append({"name": name, "repeats": repeats, "best_seconds": best})
-    return {"cases": rows}, EXIT_OK, None
-
-
-def _timed(fn) -> float:
-    t0 = time.perf_counter()
-    fn()
-    return time.perf_counter() - t0
 
 
 class _Command(NamedTuple):
@@ -490,7 +467,6 @@ _COMMANDS = {
         run_threshold, "zero-energy classification",
         ("n", "potential", "m", "R", "tol", "sweep", "check_refinement"),
     ),
-    "bench": _Command(run_bench, "timing snapshot of core kernels", ("repeats",)),
 }
 
 _SWITCHES = {"check_refinement"}

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import green
+from ._checks import positive
 from .clifford import CliffordRep
 from .potential import MatrixPotential, PolarFactors, polar_factorize
 
@@ -68,13 +69,11 @@ def build_grid(n, R, m, *, max_rows=MAX_ROWS) -> Grid:
     """
     n = int(n)
     m = int(m)
-    R = float(R)
     if n < 1:
         raise ValueError("dimension must be >= 1")
     if m < 1:
         raise ValueError("per-axis count must be >= 1")
-    if R <= 0:
-        raise ValueError("box half-width must be positive")
+    R = positive(R, "box half-width R")
     count = m**n
     spinor = 2 ** ((n + 1) // 2)
     if count * spinor > max_rows:
@@ -95,8 +94,7 @@ def build_grid(n, R, m, *, max_rows=MAX_ROWS) -> Grid:
 
 def default_box_radius(V: MatrixPotential, tol=1e-6) -> float:
     """Smallest R with the declared bound C <R>^(-rho) at or below tol."""
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
+    tol = positive(tol, "tolerance")
     if V.C <= tol:
         return 1.0
     return math.sqrt((V.C / tol) ** (2.0 / V.rho) - 1.0)
@@ -138,9 +136,7 @@ def assemble_weighted_resolvent(
 
     ``z`` may be 0, which selects the zero-energy limit kernel.
     """
-    delta = float(delta)
-    if delta <= 0:
-        raise ValueError("delta must be positive")
+    delta = positive(delta, "delta")
     blocks = _kernel_blocks(rep, grid, z)
     radii2 = np.sum(grid.nodes**2, axis=1)
     f = np.sqrt(grid.weights) * (1.0 + radii2) ** (-delta / 2)
@@ -165,9 +161,9 @@ def _node_factors(rep: CliffordRep, grid: Grid, V) -> PolarFactors:
 
 def _sandwich(grid: Grid, left, blocks, right) -> np.ndarray:
     """Blocks w_i^(1/2) left_i K_ij right_j* w_j^(1/2) as an (M, M, N, N) array."""
-    sw = np.sqrt(grid.weights)
-    blocks = np.einsum("iab,ijbc,jcd->ijad", left, blocks, right.conj().transpose(0, 2, 1))
-    return blocks * sw[:, None, None, None] * sw[None, :, None, None]
+    sw = np.sqrt(grid.weights)[:, None, None]
+    right_h = (sw * right).conj().transpose(0, 2, 1)
+    return (sw * left)[:, None] @ blocks @ right_h[None]
 
 
 def assemble_bs(rep: CliffordRep, grid: Grid, z, V) -> DiscretizedOperator:

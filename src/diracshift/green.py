@@ -29,6 +29,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import specfun
+from ._checks import positive
 from .clifford import CliffordRep, dirac_symbol
 
 __all__ = [
@@ -207,9 +208,7 @@ def green0_massive(rep: CliffordRep, m, z, x, y) -> np.ndarray:
     the branch Im kappa > 0; real z with |z| > m violate the branch and are
     rejected.
     """
-    mm = float(m)
-    if mm <= 0:
-        raise ValueError("mass must be positive")
+    mm = positive(m, "mass")
     zc = complex(z)
     if zc.imag == 0.0 and abs(zc.real) > mm:
         raise ValueError("real z with |z| > m lies outside the branch domain")

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._checks import hermitian, read_spec
+from ._checks import hermitian, positive, read_spec
 
 __all__ = [
     "HYPOTHESIS_EXPONENTS",
@@ -77,11 +77,14 @@ def polar_factorize(v) -> PolarFactors:
     kernel cut, so it factors exactly as it would alone.  The sign of a
     zero eigenvalue is +1, so U_V acts as the identity on ker V.  Functions
     of the eigenvalues are applied through the spectral projectors, which
-    keeps degenerate eigenspaces basis-independent.
+    keeps degenerate eigenspaces basis-independent.  Every entry must be
+    finite.
     """
     v = np.asarray(v, dtype=complex)
     if v.ndim < 2 or v.shape[-1] != v.shape[-2]:
         raise ValueError("expected a square matrix or a stack of them")
+    if not np.isfinite(v).all():
+        raise ValueError("matrix must have finite entries")
     vh = v.conj().swapaxes(-1, -2)
     defect = np.max(np.abs(v - vh), axis=(-2, -1))
     scale = np.maximum(1.0, np.max(np.abs(v), axis=(-2, -1)))
@@ -236,8 +239,7 @@ def _radial_potential(n, size, matrix, amplitude, profile, rho, C, eps, family, 
 
 def gaussian(n, *, width=1.0, amplitude=1.0, matrix=None, size=None, rho=None, eps=0.5):
     """V(x) = M exp(-|x|^2 / width^2); decays faster than any declared rho."""
-    if width <= 0:
-        raise ValueError("width must be positive")
+    positive(width, "width")
     size = _default_size(n) if size is None else int(size)
     if rho is None:
         rho = n + 4.0
@@ -255,8 +257,7 @@ def gaussian(n, *, width=1.0, amplitude=1.0, matrix=None, size=None, rho=None, e
 
 def power(n, rho, *, amplitude=1.0, matrix=None, size=None, eps=None):
     """V(x) = M <x>^(-rho); the declared constant is exactly max |M_lm|."""
-    if rho <= 0:
-        raise ValueError("rho must be positive")
+    positive(rho, "rho")
     size = _default_size(n) if size is None else int(size)
 
     def prof(t):
@@ -273,8 +274,7 @@ def power(n, rho, *, amplitude=1.0, matrix=None, size=None, eps=None):
 
 def bump(n, *, radius=1.0, amplitude=1.0, matrix=None, size=None, rho=None, eps=0.5):
     """V(x) = M (1 - |x|^2/radius^2)_+^2, compactly supported and C^1."""
-    if radius <= 0:
-        raise ValueError("radius must be positive")
+    positive(radius, "radius")
     size = _default_size(n) if size is None else int(size)
     if rho is None:
         rho = n + 4.0

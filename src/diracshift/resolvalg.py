@@ -7,8 +7,10 @@ Birman-Schwinger identities tying the resolvent of S0 + V1* V2 to the
 sandwiched resolvent of S0.  On top of these sits a zero-energy
 classifier for discretized Dirac Hamiltonians: given a potential V it
 assembles the self-adjoint U_V + V1 G0(0) V1* matrix on a grid and reads
-off whether the spectrum clears zero.  That matrix is U_V + a K at
-coupling a, so a coupling sweep reuses one assembly.
+off whether the spectrum clears zero.  The spectrum comes from eigvalsh
+alone; eigenvectors are computed, by one subset solve, only for the
+eigenvalues within tol of zero.  That matrix is U_V + a K at coupling a,
+so a coupling sweep reuses one assembly.
 """
 
 from __future__ import annotations
@@ -16,9 +18,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import schur, solve_sylvester
+import scipy.linalg
 
-from ._checks import hermitian, offreal, square
+from ._checks import hermitian, offreal, positive, square
 from .discretize import (
     Grid,
     _kernel_blocks,
@@ -55,7 +57,7 @@ class RieszProjection:
 def _schur_projection(a, lambda0, radius):
     # exact route for clusters the quadrature cannot resolve: reorder the
     # Schur form so the inside eigenvalues lead, then block-diagonalize
-    t, q, sdim = schur(
+    t, q, sdim = scipy.linalg.schur(
         a, output="complex", sort=lambda z: abs(z - lambda0) < radius
     )
     if sdim == 0:
@@ -63,7 +65,7 @@ def _schur_projection(a, lambda0, radius):
     if sdim == a.shape[0]:
         return np.eye(a.shape[0], dtype=complex)
     t11, t12, t22 = t[:sdim, :sdim], t[:sdim, sdim:], t[sdim:, sdim:]
-    y = solve_sylvester(t11, -t22, t12)
+    y = scipy.linalg.solve_sylvester(t11, -t22, t12)
     p_t = np.zeros_like(a)
     p_t[:sdim, :sdim] = np.eye(sdim)
     p_t[:sdim, sdim:] = y
@@ -80,9 +82,7 @@ def riesz_projection(a, lambda0, radius) -> RieszProjection:
     """
     a = square("matrix", a)
     lambda0 = complex(lambda0)
-    radius = float(radius)
-    if radius <= 0:
-        raise ValueError("radius must be positive")
+    radius = positive(radius, "radius")
     eig = np.linalg.eigvals(a)
     dist = np.abs(eig - lambda0)
     if np.any(np.abs(dist - radius) < 1e-8 * max(1.0, radius)):
@@ -242,10 +242,12 @@ class ThresholdReport:
     """Zero-energy classification of a discretized Dirac Hamiltonian.
 
     ``eigenvalues`` is the full spectrum of the self-adjoint
-    U_V + V1 G0(0) V1* matrix, ``near`` the part within ``tol`` of zero.
-    For exceptional cases ``phi0`` holds the near-kernel eigenvectors
-    (weighted-grid convention, one column each) and ``psi0`` the candidate
-    zero-energy solutions rebuilt from them on the grid nodes.
+    U_V + V1 G0(0) V1* matrix, ascending, from eigvalsh; ``near`` is the
+    part within ``tol`` of zero.  For exceptional cases ``phi0`` holds the
+    near-kernel eigenvectors (weighted-grid convention, one column per
+    ``near`` value), taken from a subset solve over just those eigenvalues,
+    and ``psi0`` the candidate zero-energy solutions rebuilt from them on
+    the grid nodes.  In regular cases both have no columns.
     ``refinement_stable`` is None unless the doubled-grid check ran.
     """
 
@@ -271,10 +273,21 @@ def _hermitian_part(matrix):
 
 def _classify_spectrum(rep, grid, V, tol):
     sym, defect = _hermitian_part(assemble_bs_selfadjoint(rep, grid, V).matrix)
-    eigenvalues, vectors = np.linalg.eigh(sym)
+    eigenvalues = np.linalg.eigvalsh(sym)
     near_mask = np.abs(eigenvalues) < tol
     label = "exceptional" if near_mask.any() else "regular"
-    return label, eigenvalues, near_mask, vectors, defect
+    return label, sym, eigenvalues, near_mask, defect
+
+
+def _near_vectors(sym, near_mask):
+    # |lambda| < tol is an interval, so the near eigenvalues are one
+    # contiguous run of the ascending spectrum: one index-subset solve
+    # returns exactly the vectors the mask chose
+    idx = np.flatnonzero(near_mask)
+    if idx.size == 0:
+        return np.zeros((sym.shape[0], 0), dtype=complex)
+    _, vectors = scipy.linalg.eigh(sym, subset_by_index=[idx[0], idx[-1]], driver="evr")
+    return vectors
 
 
 def _rebuild_psi0(rep, grid, V, phi0):
@@ -304,18 +317,12 @@ def threshold_classify(
     recomputed on a grid with twice the per-axis count and
     ``refinement_stable`` records whether the label survived.
     """
-    tol = float(tol)
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    label, eigenvalues, near_mask, vectors, defect = _classify_spectrum(
+    tol = positive(tol, "tol")
+    label, sym, eigenvalues, near_mask, defect = _classify_spectrum(
         rep, grid, V, tol
     )
-    phi0 = vectors[:, near_mask]
-    psi0 = (
-        _rebuild_psi0(rep, grid, V, phi0)
-        if phi0.shape[1]
-        else np.zeros((vectors.shape[0], 0), dtype=complex)
-    )
+    phi0 = _near_vectors(sym, near_mask)
+    psi0 = _rebuild_psi0(rep, grid, V, phi0) if phi0.shape[1] else np.zeros_like(phi0)
 
     stable = None
     if check_refinement:
@@ -344,12 +351,8 @@ def threshold_sweep(rep, grid: Grid, V, amplitudes, tol: float = 1e-3) -> list:
     matrix off them: one assembly, then one eigvalsh per amplitude.  Returns
     one {"amplitude", "min_abs_eigenvalue", "classification"} entry each.
     """
-    tol = float(tol)
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    amplitudes = [float(a) for a in np.atleast_1d(amplitudes)]
-    if any(a <= 0 for a in amplitudes):
-        raise ValueError("amplitudes must be positive")
+    tol = positive(tol, "tol")
+    amplitudes = [positive(a, "amplitudes") for a in np.atleast_1d(amplitudes)]
     matrix = assemble_bs_selfadjoint(rep, grid, V).matrix
     node = np.arange(matrix.shape[0]) // rep.N
     diag_blocks = node[:, None] == node[None, :]

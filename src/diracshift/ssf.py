@@ -22,7 +22,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from ._checks import hermitian, offreal, order, read_spec
+from ._checks import hermitian, offreal, order, positive, read_spec
 
 # regdet stays bound here for callers that take it from this module
 from .regdet import logdet_k, regdet  # noqa: F401
@@ -297,13 +297,11 @@ def ssf_boundary(
                 xi[i] = ssf_count_oracle(pair, lam)
         return SSFTable(lambdas, xi, "counting", (), np.pi * xi, flags)
 
-    eps_schedule = tuple(float(e) for e in eps_schedule)
+    eps_schedule = tuple(positive(e, "eps schedule entry") for e in eps_schedule)
     if len(eps_schedule) < 2:
         raise ValueError("eps schedule needs at least two values")
-    if any(e <= 0 for e in eps_schedule) or any(
-        b >= a for a, b in zip(eps_schedule, eps_schedule[1:])
-    ):
-        raise ValueError("eps schedule must be positive and strictly decreasing")
+    if any(b >= a for a, b in zip(eps_schedule, eps_schedule[1:])):
+        raise ValueError("eps schedule must be strictly decreasing")
 
     # krein is det_1 with no trace series to restore
     restored = 0 if method == "krein" else m
@@ -357,9 +355,7 @@ def abel_transform(xi, lam: float) -> float:
     """
     from scipy.integrate import quad
 
-    lam = float(lam)
-    if lam <= 0:
-        raise ValueError(f"lam must be positive, got {lam}")
+    lam = positive(lam, "lam")
     root = np.sqrt(lam)
 
     def integrand(theta):
@@ -408,7 +404,7 @@ def witten_index(T, k: int = 1, lambda_schedule=(-1e-1, -1e-2, -1e-3)) -> Witten
     k = order(k)
     T = np.atleast_2d(np.asarray(T, dtype=complex))
     schedule = tuple(float(x) for x in lambda_schedule)
-    if not schedule or any(x >= 0 for x in schedule):
+    if not schedule or not all(-math.inf < x < 0 for x in schedule):
         raise ValueError("lambda schedule must consist of negative reals")
     if any(b <= a for a, b in zip(schedule, schedule[1:])):
         raise ValueError("lambda schedule must increase toward 0")

@@ -253,6 +253,28 @@ def test_threshold_sweep_rejects_nonpositive_amplitudes(tmp_path, capsys):
     assert "positive" in json.loads(capsys.readouterr().err)["error"]
 
 
+@pytest.mark.parametrize(
+    "flag, value", [("--R", "nan"), ("--tol", "nan"), ("--sweep", "nan:1:3")]
+)
+def test_threshold_rejects_nan_positive_parameters(tmp_path, capsys, flag, value):
+    args = {"--n": "3", "--potential": write_potential(tmp_path), "--m": "2", "--R": "2.0"}
+    args[flag] = value
+    code, art = run_to_file(tmp_path, ["threshold", *[t for kv in args.items() for t in kv]])
+    assert code == 2
+    assert art is None
+    assert "positive and finite" in json.loads(capsys.readouterr().err)["error"]
+
+
+def test_scan_rejects_nan_distances(tmp_path, capsys):
+    code, art = run_to_file(
+        tmp_path,
+        ["scan", "--n", "3", "--z", "1i", "--direction", "1,0,0", "--distances", "nan:1:3"],
+    )
+    assert code == 2
+    assert art is None
+    assert "positive and finite" in json.loads(capsys.readouterr().err)["error"]
+
+
 def test_threshold_refinement_flag_plumbed(tmp_path):
     pot = write_potential(tmp_path)
     code, art = run_to_file(
@@ -383,14 +405,6 @@ def test_unknown_subcommand_exits_two(capsys):
     assert "error" in json.loads(capsys.readouterr().err)
 
 
-def test_bench_reports_positive_timings(tmp_path):
-    code, art = run_to_file(tmp_path, ["bench", "--repeats", "1"])
-    assert code == 0
-    cases = art["result"]["cases"]
-    assert len(cases) == 3
-    assert all(c["best_seconds"] > 0 for c in cases)
-
-
 # ---------------------------------------------------------------------------
 # malformed inputs and the command table
 
@@ -448,7 +462,6 @@ COMMAND_FLAGS = {
     "threshold": {
         "--n", "--potential", "--m", "--R", "--tol", "--sweep", "--check-refinement"
     },
-    "bench": {"--repeats"},
 }
 
 

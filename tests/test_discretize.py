@@ -186,6 +186,21 @@ def test_bs_selfadjoint_hermitian(reps):
     assert np.allclose(blk, potential.polar_factorize(V(g.nodes[0])).uv, atol=1e-14)
 
 
+def test_bs_rejects_potential_non_finite_at_a_node(reps):
+    # NaN on the half-space x_0 > 0, which holds half the grid nodes
+    def evaluate(x):
+        return np.full((4, 4), np.nan) if x[0] > 0 else np.eye(4)
+
+    V = potential.MatrixPotential(n=3, size=4, evaluate=evaluate)
+    g = discretize.build_grid(3, 1.0, 2)
+    for assemble in (
+        lambda: discretize.assemble_bs(reps[3], g, 1j, V),
+        lambda: discretize.assemble_bs_selfadjoint(reps[3], g, V),
+    ):
+        with pytest.raises(ValueError, match="finite"):
+            assemble()
+
+
 def test_bs_dimension_mismatch(reps):
     g = discretize.build_grid(2, 1.0, 3)
     with pytest.raises(ValueError, match="block size"):

@@ -126,6 +126,18 @@ def test_polar_rejects_non_hermitian():
         potential.polar_factorize(np.ones((2, 3)))
 
 
+@pytest.mark.parametrize("entry", [math.nan, math.inf, complex(0.0, math.nan)])
+def test_polar_rejects_non_finite_entries(entry):
+    # a NaN used to pass the Hermiticity test (NaN > bar is false) and
+    # came back as all-NaN factors
+    v = np.array([[entry, 0.0], [0.0, 1.0]])
+    with pytest.raises(ValueError, match="finite"):
+        potential.polar_factorize(v)
+    stack = np.stack([np.eye(2), v])
+    with pytest.raises(ValueError, match="finite"):
+        potential.polar_factorize(stack)
+
+
 # ---------------------------------------------------------------------------
 # decay reports
 

@@ -3,6 +3,7 @@ Birman-Schwinger identities, and the zero-energy threshold classifier."""
 
 import numpy as np
 import pytest
+import scipy.linalg
 from conftest import random_hermitian
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,6 +12,7 @@ from diracshift.discretize import assemble_bs_selfadjoint, build_grid
 from diracshift.potential import gaussian, polar_factorize
 from diracshift.resolvalg import (
     RieszProjection,
+    _rebuild_psi0,
     bs_residuals,
     feshbach_invert,
     jn_invert,
@@ -424,6 +426,67 @@ def test_threshold_refinement_flag(reps, grid3, attractive):
 def test_threshold_tol_must_be_positive(reps, grid3):
     with pytest.raises(ValueError, match="positive"):
         threshold_classify(reps[3], grid3, gaussian(3, amplitude=0.0, size=4), tol=0.0)
+
+
+def test_regular_threshold_computes_no_eigenvectors(reps, grid3, monkeypatch):
+    # only the 4x4 polar factors of V may ask for eigenvectors; any
+    # eigenvector solve of the assembled matrix raises
+    def guarded(solver):
+        def call(a, *args, **kwargs):
+            if np.shape(a)[-1] > reps[3].N:
+                raise AssertionError("eigenvectors of the threshold matrix requested")
+            return solver(a, *args, **kwargs)
+
+        return call
+
+    monkeypatch.setattr(np.linalg, "eigh", guarded(np.linalg.eigh))
+    monkeypatch.setattr(scipy.linalg, "eigh", guarded(scipy.linalg.eigh))
+    report = threshold_classify(reps[3], grid3, well(0.01), check_refinement=True)
+    assert report.classification == "regular"
+    assert report.refinement_stable is True
+    assert report.eigenvalues.shape == (108,)
+    assert report.phi0.shape == report.psi0.shape == (108, 0)
+
+
+def _projector(columns):
+    q, _ = np.linalg.qr(columns)
+    return q @ q.conj().T
+
+
+def test_near_vectors_match_the_full_eigh_route(reps, grid3, attractive):
+    # at the crossing the Clifford symmetry makes the near cluster 4-fold,
+    # so single vectors are basis-dependent but the projectors are not
+    astar, _, _ = crossing_amplitude(reps[3], grid3, attractive)
+    V, tol = well(astar), 1e-6
+    report = threshold_classify(reps[3], grid3, V, tol=tol)
+    m = assemble_bs_selfadjoint(reps[3], grid3, V).matrix
+    sym = (m + m.conj().T) / 2
+    phi = report.phi0
+    assert report.near.size == phi.shape[1] == 4
+
+    assert np.abs(phi.conj().T @ phi - np.eye(4)).max() <= 1e-12
+    defect = np.linalg.norm(sym @ phi - phi * report.near, 2)
+    assert defect <= 1e-10 * np.linalg.norm(sym, 2)
+
+    values, vectors = np.linalg.eigh(sym)
+    full = vectors[:, np.abs(values) < tol]
+    assert np.abs(phi @ phi.conj().T - full @ full.conj().T).max() <= 1e-10
+    psi_full = _rebuild_psi0(reps[3], grid3, V, full)
+    assert np.abs(_projector(report.psi0) - _projector(psi_full)).max() <= 1e-10
+
+
+def test_near_vectors_are_the_masked_set_at_the_tol_edge(reps, grid3, attractive):
+    # tol equal to some |eigenvalue| excludes it (the mask is strict) and
+    # the next float up includes it; the subset solve follows the mask
+    # either way, including when an eigenvalue sits exactly at -tol or +tol
+    spectrum = threshold_classify(reps[3], grid3, attractive).eigenvalues
+    for edge in np.sort(np.abs(spectrum))[[0, 5, 17, 60]]:
+        for tol in (edge, np.nextafter(edge, np.inf)):
+            report = threshold_classify(reps[3], grid3, attractive, tol=tol)
+            kept = int(np.sum(np.abs(report.eigenvalues) < tol))
+            assert report.phi0.shape == (108, kept)
+            assert report.near.size == kept
+            assert report.classification == ("exceptional" if kept else "regular")
 
 
 def test_threshold_sweep_matches_rescaled_classification(reps, grid3, attractive):
