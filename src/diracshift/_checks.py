@@ -1,9 +1,9 @@
 """The input rules the library relies on, each checked in one place:
-square matrices, Hermitian matrices with finite entries (V and the pair
-(H, H0)), positive finite reals (radii, widths, tolerances, couplings),
-positive integer orders k of det_k, z off the real axis, and specs given
-as a dict, JSON text or a JSON file.  Every failure is a
-ValueError that names the offending input.
+square matrices, finite entries (the arguments of det_k), Hermitian
+matrices with finite entries (V and the pair (H, H0)), positive finite
+reals (radii, widths, tolerances, couplings), positive integer orders k
+of det_k, z off the real axis, and specs given as a dict, JSON text or a
+JSON file.  Every failure is a ValueError that names the offending input.
 """
 
 from __future__ import annotations
@@ -21,12 +21,16 @@ def square(name: str, m) -> np.ndarray:
     return m
 
 
+def finite(name: str, m: np.ndarray) -> np.ndarray:
+    if not np.isfinite(m).all():
+        raise ValueError(f"{name} must have finite entries")
+    return m
+
+
 def hermitian(name: str, m, rtol: float = 1e-13) -> np.ndarray:
     """``m`` as a complex square matrix with finite entries whose
     anti-Hermitian part is at most ``rtol`` times max(1, max |m_ij|)."""
-    m = square(name, m)
-    if not np.isfinite(m).all():
-        raise ValueError(f"{name} must have finite entries")
+    m = finite(name, square(name, m))
     scale = max(1.0, float(np.abs(m).max()))
     if np.abs(m - m.conj().T).max() > rtol * scale:
         raise ValueError(f"{name} must be Hermitian")

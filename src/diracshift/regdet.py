@@ -3,10 +3,16 @@
 det_k(I+A) multiplies the eigenvalue factors (1+lam)exp(sum_{m<k}(-1)^m
 lam^m/m); the exponential removes the first k-1 traces, which is what keeps
 the determinant finite for operators whose singular values are only
-k-summable.  logdet_k sums the logs of the factors, so large operators
-neither overflow nor underflow, and regdet exponentiates it.  The price is
-that det_k is no longer multiplicative: for two factors written as I-A
-and I-B,
+k-summable.  For matrices no eigenvalue is needed (Simon, Trace Ideals,
+Thm 9.2):
+
+    log det_k(I+A) = log det(I+A) + sum_{j<k} (-1)^j tr(A^j) / j.
+
+logdet_k takes log det(I+A) from one LU factorization, summing the logs
+of the pivots, so large operators neither overflow nor underflow, and
+the exponent from trace_series; regdet exponentiates it.  The price of the
+regularization is that det_k is no longer multiplicative: for two factors
+written as I-A and I-B,
 
     det_k((I-A)(I-B)) = det_k(I-A) det_k(I-B) exp(tr X_k(A,B)),
 
@@ -19,18 +25,22 @@ matrices.
 from __future__ import annotations
 
 import itertools
+import math
+import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
+from scipy.linalg import LinAlgWarning, lu_factor
 
-from ._checks import order, square
+from ._checks import finite, order, square
 
 __all__ = [
     "WordExpression",
     "logdet_k",
     "product_residual",
     "regdet",
+    "trace_series",
     "trace_xk",
     "xk_correction",
     "xk_words",
@@ -45,32 +55,71 @@ def _square_pair(A, B):
     return A, B
 
 
+def trace_series(m, A):
+    """sum_{j=1}^{m} (-1)^j tr(A^j) / j for a square matrix, or for each
+    matrix of a stack along the last two axes.
+
+    tr(A^j) is the elementwise-product sum of A^floor(j/2) and the
+    transpose of A^ceil(j/2), so m <= 2 forms no matrix power and m <= 4
+    forms only A^2.
+    """
+    total = np.zeros(A.shape[:-2], dtype=complex)
+    if m >= 1:
+        total -= np.trace(A, axis1=-2, axis2=-1)
+    powers = [None, A]
+    for j in range(2, m + 1):
+        if len(powers) <= (j + 1) // 2:
+            powers.append(powers[-1] @ A)
+        trace_j = np.einsum("...ij,...ji->...", powers[j // 2], powers[(j + 1) // 2])
+        total += (-1) ** j * trace_j / j
+    return total
+
+
 def logdet_k(k, A):
     """log det_k(I+A) for a square matrix, or for each matrix of a stack
-    along the last two axes, through the eigenvalues of A.
+    along the last two axes, from an LU factorization of I+A.
 
-    Sums log(1+lam) and the trace exponent sum_{j<k} (-1)^j lam^j / j, so
-    the modulus never overflows or underflows.  The imaginary part is not
-    reduced to a principal branch.  An eigenvalue of exactly -1 gives a
-    real part of -inf.
+    log|det(I+A)| is the pairwise sum of the logs of the pivot moduli, so
+    the modulus never overflows or underflows; the imaginary part is the
+    sum of the pivot arguments plus pi per row swap, not reduced to a
+    principal branch.  The trace exponent comes from trace_series.  A
+    singular I+A gives a real part of -inf.
     """
     k = order(k)
     A = np.atleast_2d(np.asarray(A, dtype=complex))
     if A.shape[-1] != A.shape[-2]:
         raise ValueError(f"A must be square, got shape {A.shape}")
-    lam = np.linalg.eigvals(A)
-    expo = np.zeros_like(lam)
-    for j in range(1, k):
-        expo = expo + (-1) ** j * lam**j / j
+    finite("A", A)
+    d = A.shape[-1]
+    flat = A.reshape((math.prod(A.shape[:-2]), d, d))
+    pivots = np.empty(flat.shape[:2], dtype=complex)
+    swaps = np.empty(len(flat))
+    # I+A is built in one C-ordered buffer; its transpose is Fortran-ordered,
+    # so LAPACK factors it in place, and det(X^T) = det(X)
+    work = np.empty((d, d), dtype=complex)
+    with warnings.catch_warnings():
+        # an exact zero pivot is a vanishing determinant: -inf below
+        warnings.filterwarnings(
+            "ignore", "Diagonal number .* is exactly zero", LinAlgWarning
+        )
+        for i, a in enumerate(flat):
+            work[...] = a
+            work.reshape(-1)[:: d + 1] += 1
+            lu, piv = lu_factor(work.T, overwrite_a=True, check_finite=False)
+            pivots[i] = lu.diagonal()
+            swaps[i] = np.count_nonzero(piv != np.arange(d))
     with np.errstate(divide="ignore"):
-        return (np.log1p(lam) + expo).sum(axis=-1)
+        log_abs = np.log(np.abs(pivots)).sum(axis=-1)
+    phase = np.angle(pivots).sum(axis=-1) + np.pi * swaps
+    out = log_abs + 1j * phase + trace_series(k - 1, flat)
+    return out.reshape(A.shape[:-2])[()]
 
 
 def regdet(k, A) -> complex:
-    """det_k(I+A) through the eigenvalues of A.
+    """det_k(I+A): exp of logdet_k.
 
     k = 1 is the plain determinant; higher k strips the first k-1 traces
-    from the exponent, eigenvalue by eigenvalue.
+    from the exponent.
     """
     return complex(np.exp(logdet_k(k, square("A", A))))
 
@@ -248,6 +297,8 @@ def product_residual(k, A, B) -> float:
     det_k(I-A) det_k(I-B) exp(tr X_k(A,B))."""
     k = order(k, upper=5)
     A, B = _square_pair(A, B)
+    finite("A", A)
+    finite("B", B)
     det_a = regdet(k, -A)
     det_b = regdet(k, -B)
     if det_a == 0 or det_b == 0:

@@ -25,7 +25,7 @@ import numpy as np
 from ._checks import hermitian, offreal, order, positive, read_spec
 
 # regdet stays bound here for callers that take it from this module
-from .regdet import logdet_k, regdet  # noqa: F401
+from .regdet import logdet_k, regdet, trace_series  # noqa: F401
 
 __all__ = [
     "MatrixPair",
@@ -48,6 +48,9 @@ __all__ = [
 FLAG_DISTANCE = 0.05
 
 _COLLISION = 1e-12
+
+# Memory cap for one (knots, d, d) complex stack in the determinant routes.
+_STACK_BYTES = 16 * 2**20
 
 
 @dataclass(frozen=True)
@@ -136,19 +139,9 @@ def perturbation_logdet(m: int, z, pair: MatrixPair) -> complex:
     return complex(val.real, math.remainder(val.imag, 2 * math.pi))
 
 
-def _g_of_b(m: int, b: np.ndarray):
-    # broadcasts over a stack of matrices along the last two axes
-    total = 0j
-    power = np.eye(b.shape[-1])
-    for j in range(1, m + 1):
-        power = power @ b
-        total = total + (-1) ** j * np.trace(power, axis1=-2, axis2=-1) / j
-    return total
-
-
 def g_correction(m: int, z, pair: MatrixPair) -> complex:
     """The truncated trace series sum_{j=1}^{m} (-1)^j tr(B(z)^j) / j."""
-    return complex(_g_of_b(order(m, "m"), _bmatrix(pair, offreal(z))))
+    return complex(trace_series(order(m, "m"), _bmatrix(pair, offreal(z))))
 
 
 @dataclass(frozen=True)
@@ -242,9 +235,17 @@ def _phase_curve(
     pair: MatrixPair, lambdas: np.ndarray, eps: float, m: int, eig0, eig1
 ) -> np.ndarray:
     zs = lambdas + 1j * eps
-    res = np.linalg.inv(pair.s0 - zs[:, None, None] * np.eye(pair.dim))
-    b = np.matmul(pair.v, res)
-    principal = (logdet_k(m + 1, b) - _g_of_b(m, b)).imag
+    principal = np.empty(zs.shape)
+    # knots go in chunks of at most _STACK_BYTES per (knots, d, d) stack;
+    # every knot is computed on its own, so chunking changes no value
+    step = max(1, _STACK_BYTES // (16 * pair.dim**2))
+    for lo in range(0, zs.size, step):
+        z = zs[lo : lo + step, None, None]
+        b = pair.v @ np.linalg.inv(pair.s0 - z * np.eye(pair.dim))
+        # one LU of I + B per knot; logdet_k's exponent and the g_m
+        # restored here are the same regdet.trace_series, so for matrices
+        # this is the phase of det(I + B) up to rounding, for every m
+        principal[lo : lo + step] = (logdet_k(m + 1, b) - trace_series(m, b)).imag
     # For Hermitian S0 and S = S0 + V, det(I + V (S0 - z)^{-1}) equals
     # prod(s_k - z) / prod(e_k - z), so the continuous branch of its phase
     # is sum arg(s_k - z) - sum arg(e_k - z), which vanishes left of both

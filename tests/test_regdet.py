@@ -3,11 +3,13 @@ import warnings
 from fractions import Fraction
 from math import comb
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import random_hermitian
 from diracshift import regdet as rd
 
 
@@ -85,6 +87,88 @@ def test_logdet_k_stack_matches_each_matrix():
         assert got.shape == (4,)
         for a, g in zip(stack, got):
             assert abs(np.exp(g) - rd.regdet(k, a)) <= 1e-13 * abs(rd.regdet(k, a))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_logdet_k_rejects_non_finite_entries(bad):
+    A = np.full((3, 3), 0.1, dtype=complex)
+    A[1, 2] = bad
+    with pytest.raises(ValueError, match="A must have finite entries"):
+        rd.logdet_k(2, A)
+    with pytest.raises(ValueError, match="A must have finite entries"):
+        rd.logdet_k(2, np.stack([np.zeros((3, 3)), A]))
+    with pytest.raises(ValueError, match="A must have finite entries"):
+        rd.regdet(1, A)
+    with pytest.raises(ValueError, match="A must have finite entries"):
+        rd.product_residual(2, A, np.zeros((3, 3)))
+    with pytest.raises(ValueError, match="B must have finite entries"):
+        rd.product_residual(2, np.zeros((3, 3)), A)
+
+
+def _det_k_mp(k, A):
+    # det(I+A) exp(sum_{j<k} (-1)^j tr(A^j)/j) in 40-digit arithmetic
+    d = A.shape[0]
+    M = mp.matrix(A.tolist())
+    power = mp.eye(d)
+    expo = mp.mpc(0)
+    for j in range(1, k):
+        power = power * M
+        expo += (-1) ** j * sum(power[i, i] for i in range(d)) / j
+    return mp.det(mp.eye(d) + M) * mp.exp(expo)
+
+
+def _mp_relative_error(k, A):
+    with mp.workdps(40):
+        want = _det_k_mp(k, A)
+        got = mp.exp(mp.mpc(rd.logdet_k(k, A)))
+        return float(abs(got - want) / abs(want))
+
+
+def test_logdet_k_row_swap_sign():
+    # I + A is the transposition [[0, 1], [1, 0]]: its LU takes one row swap
+    A = np.array([[-1.0, 1.0], [1.0, -1.0]])
+    assert abs(rd.regdet(1, A) - (-1)) <= 1e-15
+    assert abs(rd.regdet(2, A) - (-np.e**2)) <= 1e-15 * np.e**2
+
+
+def test_logdet_k_matches_mpmath_on_ginibre():
+    A = ginibre(np.random.default_rng(31), 12)
+    for k in (1, 2, 3, 4):
+        assert _mp_relative_error(k, A) <= 1e-13
+
+
+def test_logdet_k_matches_mpmath_near_the_real_axis():
+    # B(z) = V (S0 - z)^{-1} at eps = 1e-4; for k = 4 the bar is set by
+    # the conditioning of the trace terms, not by the factorization
+    for seed in range(4):
+        rng = np.random.default_rng(seed)
+        s0 = random_hermitian(rng, 10)
+        v = random_hermitian(rng, 10, 0.8)
+        z = rng.uniform(-1, 1) + 1e-4j
+        B = v @ np.linalg.inv(s0 - z * np.eye(10))
+        for k in (1, 2, 3):
+            assert _mp_relative_error(k, B) <= 1e-12
+        assert _mp_relative_error(4, B) <= 1e-10
+
+
+def test_logdet_k_stack_is_bitwise_each_matrix():
+    rng = np.random.default_rng(33)
+    for d in (3, 12, 40):
+        stack = rng.normal(size=(2, 3, d, d)) + 1j * rng.normal(size=(2, 3, d, d))
+        stack /= np.sqrt(2 * d)
+        for k in (1, 2, 3, 4, 5):
+            got = rd.logdet_k(k, stack)
+            assert got.shape == (2, 3)
+            each = [[rd.logdet_k(k, a) for a in row] for row in stack]
+            assert np.array_equal(got, np.array(each))
+
+
+def test_trace_series_matches_powers():
+    A = ginibre(np.random.default_rng(34), 7)
+    for m in range(6):
+        powers = [np.linalg.matrix_power(A, j) for j in range(1, m + 1)]
+        want = sum((-1) ** j * np.trace(P) / j for j, P in enumerate(powers, 1))
+        assert abs(rd.trace_series(m, A) - want) <= 1e-14
 
 
 def test_cyclicity_rectangular_factors():

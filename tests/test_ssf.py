@@ -289,6 +289,51 @@ def test_boundary_routes_match_oracle():
         assert np.array_equal(np.round(tab.xi), oracle)
 
 
+def test_determinant_routes_run_no_non_hermitian_eigensolver(monkeypatch):
+    # det_k comes from an LU factorization and traces of powers; eigvalsh
+    # stays allowed for the flags and the branch
+    import scipy.linalg
+
+    from diracshift import regdet as rd
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("non-Hermitian eigensolver called")
+
+    for module in (np.linalg, scipy.linalg):
+        for name in ("eig", "eigvals"):
+            monkeypatch.setattr(module, name, refuse)
+    rng = np.random.default_rng(43)
+    pair = make_pair(rng, 8, 0.6)
+    A, B = (0.1 * random_hermitian(rng, 8) for _ in range(2))
+    for k in (1, 2, 3, 4):
+        rd.regdet(k, A)
+        rd.product_residual(k, A, B)
+        perturbation_logdet(k, 0.3 + 0.1j, pair)
+    grid = np.linspace(-3.0, 3.0, 41)
+    for kwargs in ({"method": "krein"}, {"method": "eq_main", "m": 2}):
+        tab = ssf_boundary(pair, grid, **kwargs)
+        safe = ~tab.flags
+        assert safe.sum() >= 10
+        oracle = [ssf_count_oracle(pair, lam) for lam in grid[safe]]
+        assert np.array_equal(np.round(tab.xi[safe]), oracle)
+
+
+def test_boundary_table_does_not_depend_on_chunking(monkeypatch):
+    from diracshift import ssf
+
+    rng = np.random.default_rng(44)
+    pair = make_pair(rng, 6, 0.6)
+    grid = np.linspace(-3.0, 3.0, 23)
+    for kwargs in ({"method": "krein"}, {"method": "eq_main", "m": 3}):
+        whole = ssf_boundary(pair, grid, **kwargs)
+        with monkeypatch.context() as mp:
+            # two knots' (6, 6) complex matrices per chunk
+            mp.setattr(ssf, "_STACK_BYTES", 2 * 16 * 36)
+            chunked = ssf_boundary(pair, grid, **kwargs)
+        assert np.array_equal(whole.branch, chunked.branch)
+        assert np.array_equal(whole.xi, chunked.xi, equal_nan=True)
+
+
 def test_boundary_routes_match_oracle_40x40():
     rng = np.random.default_rng(73)
     pair = make_pair(rng, 40, 0.6)
