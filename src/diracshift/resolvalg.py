@@ -11,10 +11,21 @@ off whether the spectrum clears zero.  The spectrum comes from eigvalsh
 alone; eigenvectors are computed, by one subset solve, only for the
 eigenvalues within tol of zero.  That matrix is U_V + a K at coupling a,
 so a coupling sweep reuses one assembly.
+
+The zero-energy kernel obeys conj G0(0; x) = G0(0; Rx), where R reflects
+every axis whose alpha_k is real.  So when V is real and R-invariant (a
+radial profile times a real coupling), the matrix H is fixed by T = K P,
+complex conjugation K composed with the node permutation P of R, and
+H' = (I - iP) H (I + iP) / 2 is a real symmetric matrix with the spectrum
+of H; its eigenvectors y lift to those of H as (y + iPy) / sqrt(2).  Every
+solve runs on H' when the assembled matrix passes that test, and on the
+complex H otherwise (a complex coupling, an off-centre profile, a rotated
+representation).  The route taken is logged under diracshift.resolvalg.
 """
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +36,7 @@ from .discretize import (
     Grid,
     _kernel_blocks,
     _node_factors,
+    _to_matrix,
     assemble_bs_selfadjoint,
     build_grid,
 )
@@ -42,7 +54,12 @@ __all__ = [
     "threshold_sweep",
 ]
 
+log = logging.getLogger("diracshift.resolvalg")
+
 _IDEMPOTENT_TOL = 1e-11
+# largest |Im H'| of the real form, relative to max(1, max |H_ij|), that
+# may be dropped
+_REAL_FORM_RTOL = 1e-14
 
 
 @dataclass(frozen=True)
@@ -243,12 +260,16 @@ class ThresholdReport:
 
     ``eigenvalues`` is the full spectrum of the self-adjoint
     U_V + V1 G0(0) V1* matrix, ascending, from eigvalsh; ``near`` is the
-    part within ``tol`` of zero.  For exceptional cases ``phi0`` holds the
-    near-kernel eigenvectors (weighted-grid convention, one column per
-    ``near`` value), taken from a subset solve over just those eigenvalues,
-    and ``psi0`` the candidate zero-energy solutions rebuilt from them on
-    the grid nodes.  In regular cases both have no columns.
-    ``refinement_stable`` is None unless the doubled-grid check ran.
+    part within ``tol`` of zero.  The spectrum is taken from the real
+    symmetric form H' when the matrix is fixed by conjugation composed with
+    the axis reflection (see the module docstring), from the complex matrix
+    otherwise; both give the same values to rounding.  For exceptional
+    cases ``phi0`` holds the near-kernel eigenvectors (weighted-grid
+    convention, one column per ``near`` value), taken from a subset solve
+    over just those eigenvalues, and ``psi0`` the candidate zero-energy
+    solutions rebuilt from them on the grid nodes.  In regular cases both
+    have no columns.  ``refinement_stable`` is None unless the doubled-grid
+    check ran.
     """
 
     classification: str
@@ -261,6 +282,63 @@ class ThresholdReport:
     refinement_stable: object = None
 
 
+@dataclass(frozen=True)
+class _Conjugation:
+    """T = K P on threshold-matrix rows: complex conjugation K after the
+    permutation P that reverses the grid axes whose alpha_k is real.
+
+    A row index is viewed as the multi-index ``shape`` = (m,)*n + (N,) and
+    P as the slices ``flip`` on that view, so P H, H P and P H P are views.
+    """
+
+    shape: tuple
+    flip: tuple
+
+    def real_form(self, sym, scale):
+        """(H', residual) for Hermitian ``sym``: H' the real part of
+        (I - iP) sym (I + iP) / 2 and residual the largest |Im| dropped;
+        H' is None when the residual tops the tolerance."""
+        s = sym.reshape(self.shape * 2)
+        keep = (slice(None),) * len(self.shape)
+        flip = self.flip
+        re, im = s.real, s.imag
+        # 2 Im H' = im + P im P + re P - P re
+        part = np.add(im, im[flip + flip])
+        part += re[keep + flip]
+        part -= re[flip + keep]
+        residual = 0.5 * float(max(part.max(), -part.min()))
+        if residual > _REAL_FORM_RTOL * scale:
+            return None, residual
+        # 2 Re H' = re + P re P - im P + P im
+        np.add(re, re[flip + flip], out=part)
+        part -= im[keep + flip]
+        part += im[flip + keep]
+        part *= 0.5
+        return part.reshape(sym.shape), residual
+
+    def lift(self, y):
+        """Eigenvectors (y + iPy) / sqrt(2) of H from those of H'."""
+        flipped = y.reshape(self.shape + (-1,))[self.flip].reshape(y.shape)
+        return (y + 1j * flipped) / np.sqrt(2.0)
+
+
+def _conjugation(rep, grid):
+    # conj G0(0; x) = G0(0; Rx) holds axis by axis only when each alpha_k
+    # is real (R flips axis k) or imaginary (R keeps it); the view needs
+    # the full tensor grid
+    flip = []
+    for alpha in rep.alphas[: rep.n]:
+        if not alpha.imag.any():
+            flip.append(slice(None, None, -1))
+        elif not alpha.real.any():
+            flip.append(slice(None))
+        else:
+            return None
+    if len(grid.nodes) != grid.m**grid.n:
+        return None
+    return _Conjugation(shape=(grid.m,) * grid.n + (rep.N,), flip=(*flip, slice(None)))
+
+
 def _hermitian_part(matrix):
     scale = max(1.0, float(np.abs(matrix).max()))
     defect = float(np.abs(matrix - matrix.conj().T).max())
@@ -268,39 +346,59 @@ def _hermitian_part(matrix):
         raise FloatingPointError(
             f"assembled threshold matrix lost Hermiticity (defect {defect:.2e})"
         )
-    return (matrix + matrix.conj().T) / 2, defect
+    sym = matrix + matrix.conj().T
+    sym *= 0.5
+    return sym, defect, scale
+
+
+def _threshold_form(matrix, conjugation):
+    """(form, lift, defect): the Hermitian part of ``matrix`` as the real H'
+    with ``conjugation.lift`` when T leaves it fixed, else as it is with
+    lift None; defect is the Hermiticity defect of ``matrix``."""
+    sym, defect, scale = _hermitian_part(matrix)
+    form = residual = None
+    if conjugation is not None:
+        form, residual = conjugation.real_form(sym, scale)
+    log.debug(
+        "threshold spectrum: %s route, conjugation residual %s",
+        "complex" if form is None else "real", residual,
+    )
+    if form is None:
+        return sym, None, defect
+    return form, conjugation.lift, defect
 
 
 def _classify_spectrum(rep, grid, V, tol):
-    sym, defect = _hermitian_part(assemble_bs_selfadjoint(rep, grid, V).matrix)
-    eigenvalues = np.linalg.eigvalsh(sym)
+    form, lift, defect = _threshold_form(
+        assemble_bs_selfadjoint(rep, grid, V).matrix, _conjugation(rep, grid)
+    )
+    eigenvalues = np.linalg.eigvalsh(form)
     near_mask = np.abs(eigenvalues) < tol
     label = "exceptional" if near_mask.any() else "regular"
-    return label, sym, eigenvalues, near_mask, defect
+    return label, form, lift, eigenvalues, near_mask, defect
 
 
-def _near_vectors(sym, near_mask):
+def _near_vectors(form, lift, near_mask):
     # |lambda| < tol is an interval, so the near eigenvalues are one
     # contiguous run of the ascending spectrum: one index-subset solve
     # returns exactly the vectors the mask chose
     idx = np.flatnonzero(near_mask)
     if idx.size == 0:
-        return np.zeros((sym.shape[0], 0), dtype=complex)
-    _, vectors = scipy.linalg.eigh(sym, subset_by_index=[idx[0], idx[-1]], driver="evr")
-    return vectors
+        return np.zeros((form.shape[0], 0), dtype=complex)
+    _, vectors = scipy.linalg.eigh(form, subset_by_index=[idx[0], idx[-1]], driver="evr")
+    return vectors if lift is None else lift(vectors)
 
 
 def _rebuild_psi0(rep, grid, V, phi0):
-    # psi0(x_i) = -sum_j w_j G0(0; x_i, y_j) V1(y_j)* phi(y_j); the
+    # psi0(x_i) = -sum_j w_j G0(0; x_i, x_j) V1(x_j)* phi(x_j); the
     # eigenvectors carry the w^(1/2) embedding, so one root of w remains
-    blocks = _kernel_blocks(rep, grid, 0.0)
+    kernel = _to_matrix(_kernel_blocks(rep, grid, 0.0))
     count = len(grid.nodes)
     v1 = _node_factors(rep, grid, V).v1
-    sw = np.sqrt(grid.weights)
+    sw = np.sqrt(grid.weights)[:, None, None]
     phi = phi0.reshape(count, rep.N, -1)
-    integrand = np.einsum("jab,jbk->jak", v1.conj().transpose(0, 2, 1), phi)
-    psi = -np.einsum("ijab,j,jbk->iak", blocks, sw, integrand)
-    return psi.reshape(count * rep.N, -1)
+    source = sw * (v1.conj().transpose(0, 2, 1) @ phi)
+    return -(kernel @ source.reshape(count * rep.N, -1))
 
 
 def threshold_classify(
@@ -318,17 +416,18 @@ def threshold_classify(
     ``refinement_stable`` records whether the label survived.
     """
     tol = positive(tol, "tol")
-    label, sym, eigenvalues, near_mask, defect = _classify_spectrum(
+    # the doubled grid meets the row cap or fails before any assembly
+    finer = build_grid(grid.n, grid.R, 2 * grid.m) if check_refinement else None
+    label, form, lift, eigenvalues, near_mask, defect = _classify_spectrum(
         rep, grid, V, tol
     )
-    phi0 = _near_vectors(sym, near_mask)
+    phi0 = _near_vectors(form, lift, near_mask)
+    del form  # released before psi0 builds the kernel matrix
     psi0 = _rebuild_psi0(rep, grid, V, phi0) if phi0.shape[1] else np.zeros_like(phi0)
 
     stable = None
-    if check_refinement:
-        finer = build_grid(grid.n, grid.R, 2 * grid.m)
-        finer_label = _classify_spectrum(rep, finer, V, tol)[0]
-        stable = finer_label == label
+    if finer is not None:
+        stable = _classify_spectrum(rep, finer, V, tol)[0] == label
 
     return ThresholdReport(
         classification=label,
@@ -348,18 +447,21 @@ def threshold_sweep(rep, grid: Grid, V, amplitudes, tol: float = 1e-3) -> list:
     Scaling V by a > 0 scales V1 by sqrt(a) and leaves U_V alone, and the
     punctured rule keeps the kernel off the diagonal blocks, so the matrix
     at coupling a is U_V on the diagonal blocks and a times the assembled
-    matrix off them: one assembly, then one eigvalsh per amplitude.  Returns
-    one {"amplitude", "min_abs_eigenvalue", "classification"} entry each.
+    matrix off them: one assembly, then one eigvalsh per amplitude, on the
+    real form whenever that amplitude's matrix passes the conjugation test.
+    Returns one {"amplitude", "min_abs_eigenvalue", "classification"} entry
+    each.
     """
     tol = positive(tol, "tol")
     amplitudes = [positive(a, "amplitudes") for a in np.atleast_1d(amplitudes)]
     matrix = assemble_bs_selfadjoint(rep, grid, V).matrix
+    conjugation = _conjugation(rep, grid)
     node = np.arange(matrix.shape[0]) // rep.N
     diag_blocks = node[:, None] == node[None, :]
     sweep = []
     for a in amplitudes:
-        sym, _ = _hermitian_part(np.where(diag_blocks, matrix, a * matrix))
-        gap = float(np.abs(np.linalg.eigvalsh(sym)).min())
+        form, _, _ = _threshold_form(np.where(diag_blocks, matrix, a * matrix), conjugation)
+        gap = float(np.abs(np.linalg.eigvalsh(form)).min())
         label = "exceptional" if gap < tol else "regular"
         sweep.append({"amplitude": a, "min_abs_eigenvalue": gap, "classification": label})
     return sweep

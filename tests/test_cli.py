@@ -286,6 +286,52 @@ def test_threshold_refinement_flag_plumbed(tmp_path):
     assert art["result"]["refinement_stable"] is True
 
 
+def test_refinement_grid_over_the_cap_fails_before_any_assembly(tmp_path, capsys, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("threshold matrix assembled")
+
+    monkeypatch.setattr(diracshift.resolvalg, "assemble_bs_selfadjoint", refuse)
+    pot = write_potential(tmp_path)
+    code, art = run_to_file(
+        tmp_path,
+        ["threshold", "--n", "3", "--potential", pot, "--m", "6", "--R", "2.0",
+         "--check-refinement"],
+    )
+    assert code == 2
+    assert art is None
+    assert json.loads(capsys.readouterr().err) == {
+        "error": "grid would need 6912 rows, above the cap 4096"
+    }
+
+
+@pytest.mark.parametrize(
+    "extra", [[], ["--sweep", "0.5:1.5:3"], ["--tol", "1.5"]],
+    ids=["single", "sweep", "exceptional"],
+)
+def test_threshold_spectra_need_no_complex_eigvalsh(tmp_path, monkeypatch, extra):
+    # a radial real potential is fixed by the conjugation symmetry, so
+    # every spectrum comes from the real symmetric form
+    eigvalsh = np.linalg.eigvalsh
+
+    def real_only(a, *args, **kwargs):
+        if np.iscomplexobj(a):
+            raise AssertionError("complex eigvalsh called")
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", real_only)
+    pot = write_potential(tmp_path)
+    code, art = run_to_file(
+        tmp_path,
+        ["threshold", "--n", "3", "--potential", pot, "--m", "2", "--R", "2.0", *extra],
+    )
+    assert code == 0
+    r = art["result"]
+    assert r["eigenvalue_count"] == 32
+    assert r["classification"] == ("exceptional" if "--tol" in extra else "regular")
+    assert len(r["near"]) == (32 if "--tol" in extra else 0)
+    assert len(r.get("sweep", [])) == (3 if "--sweep" in extra else 0)
+
+
 def test_clifford_dump_carries_defects(tmp_path):
     code, art = run_to_file(tmp_path, ["clifford", "--n", "4"])
     assert code == 0

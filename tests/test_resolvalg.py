@@ -1,18 +1,24 @@
 """Riesz projections, projected inversion, block inverses, the
 Birman-Schwinger identities, and the zero-energy threshold classifier."""
 
+import logging
+
 import numpy as np
 import pytest
 import scipy.linalg
-from conftest import random_hermitian
+from conftest import random_hermitian, random_unitary
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from diracshift import resolvalg
+from diracshift.clifford import build_clifford, conjugate_rep
 from diracshift.discretize import assemble_bs_selfadjoint, build_grid
-from diracshift.potential import gaussian, polar_factorize
+from diracshift.potential import MatrixPotential, bump, gaussian, polar_factorize, power
 from diracshift.resolvalg import (
     RieszProjection,
+    _conjugation,
     _rebuild_psi0,
+    _threshold_form,
     bs_residuals,
     feshbach_invert,
     jn_invert,
@@ -453,12 +459,23 @@ def _projector(columns):
     return q @ q.conj().T
 
 
-def test_near_vectors_match_the_full_eigh_route(reps, grid3, attractive):
+def routes_taken(caplog):
+    return [r.getMessage().split(": ")[1].split(" route")[0] for r in caplog.records]
+
+
+@pytest.mark.parametrize("route", ["real", "complex"])
+def test_near_vectors_match_the_full_eigh_route(
+    reps, grid3, attractive, route, monkeypatch, caplog
+):
     # at the crossing the Clifford symmetry makes the near cluster 4-fold,
     # so single vectors are basis-dependent but the projectors are not
     astar, _, _ = crossing_amplitude(reps[3], grid3, attractive)
     V, tol = well(astar), 1e-6
+    if route == "complex":
+        monkeypatch.setattr(resolvalg, "_conjugation", lambda rep, grid: None)
+    caplog.set_level(logging.DEBUG, logger="diracshift.resolvalg")
     report = threshold_classify(reps[3], grid3, V, tol=tol)
+    assert routes_taken(caplog) == [route]
     m = assemble_bs_selfadjoint(reps[3], grid3, V).matrix
     sym = (m + m.conj().T) / 2
     phi = report.phi0
@@ -515,3 +532,80 @@ def test_projection_dataclass_fields():
     assert isinstance(p, RieszProjection)
     assert p.eigenvalue == 0
     assert p.matrix.shape == (2, 2)
+
+
+# ---------------------------------------------------------------------------
+# real symmetric form of the threshold matrix
+
+
+def real_coupling(n, seed):
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((2 ** ((n + 1) // 2),) * 2)
+    return (a + a.T) / 2
+
+
+@pytest.mark.parametrize("n, m", [(2, 4), (3, 3), (4, 3), (5, 2)])
+@pytest.mark.parametrize(
+    "family",
+    [
+        lambda n: gaussian(n, amplitude=-1.0),
+        lambda n: bump(n, radius=2.0, matrix=real_coupling(n, 0)),
+        lambda n: power(n, n + 1.0, amplitude=0.5),
+    ],
+    ids=["gaussian", "bump", "power"],
+)
+def test_real_form_spectrum_matches_complex_eigvalsh(reps, n, m, family):
+    rep, grid = reps[n], build_grid(n, 3.0, m)
+    matrix = assemble_bs_selfadjoint(rep, grid, family(n)).matrix
+    want = np.linalg.eigvalsh((matrix + matrix.conj().T) / 2)
+    form, lift, _ = _threshold_form(matrix, _conjugation(rep, grid))
+    assert form.dtype == np.float64 and lift is not None
+    got = np.linalg.eigvalsh(form)
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def off_centre_well():
+    shift = np.array([0.3, 0.0, 0.0])
+    return MatrixPotential(
+        n=3, size=4, evaluate=lambda x: -np.exp(-np.sum((x - shift) ** 2)) * np.eye(4)
+    )
+
+
+def complex_coupling():
+    rng = np.random.default_rng(21)
+    return gaussian(3, matrix=random_hermitian(rng, 4))
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        lambda: (build_clifford(3), complex_coupling()),
+        lambda: (build_clifford(3), off_centre_well()),
+        lambda: (conjugate_rep(build_clifford(3), random_unitary(np.random.default_rng(3), 4)),
+                 well(1.0)),
+    ],
+    ids=["complex-coupling", "off-centre", "rotated-rep"],
+)
+def test_threshold_without_the_symmetry_keeps_the_complex_route(grid3, case, caplog):
+    rep, V = case()
+    caplog.set_level(logging.DEBUG, logger="diracshift.resolvalg")
+    report = threshold_classify(rep, grid3, V, tol=0.99)
+    assert routes_taken(caplog) == ["complex"]
+    # the spectrum, defect and near vectors come out as the complex solve gives them
+    matrix = assemble_bs_selfadjoint(rep, grid3, V).matrix
+    sym = (matrix + matrix.conj().T) / 2
+    eigenvalues = np.linalg.eigvalsh(sym)
+    assert np.array_equal(report.eigenvalues, eigenvalues)
+    assert report.hermiticity_defect == np.abs(matrix - matrix.conj().T).max()
+    near = np.flatnonzero(np.abs(eigenvalues) < 0.99)
+    assert near.size >= 1
+    _, phi = scipy.linalg.eigh(sym, subset_by_index=[near[0], near[-1]], driver="evr")
+    assert np.array_equal(report.phi0, phi)
+
+
+def test_real_route_is_logged_with_its_residual(reps, grid3, attractive, caplog):
+    caplog.set_level(logging.DEBUG, logger="diracshift.resolvalg")
+    threshold_sweep(reps[3], grid3, attractive, [0.5, 2.0])
+    assert [r.getMessage() for r in caplog.records] == [
+        "threshold spectrum: real route, conjugation residual 0.0"
+    ] * 2
